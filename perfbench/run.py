@@ -31,21 +31,21 @@ import checks  # noqa: E402
 import gen  # noqa: E402
 import tracer  # noqa: E402
 
-# set-up runs at least 3 times, and up to 9 times while it has taken under 1 s
-SETUP_MIN_REPEATS, SETUP_MAX_REPEATS, SETUP_MIN_S = 3, 9, 1.0
+# set-up runs at least 3 times, and up to 9 times while it has taken under 4 s
+SETUP_MIN_REPEATS, SETUP_MAX_REPEATS, SETUP_MIN_S = 3, 9, 4.0
 
 # 10 countries x 3 panel years (2014-2016) x 10 items = 300 panel rows, 13 features.
 # Half the noise of tests/synth.py halves the seed-to-seed spread of the
-# ensemble's CV R², the accuracy guard.
-PROXY = gen.Shape(10, (1901, 2016), (2014, 2018), (1901, 2019), noise=0.05)
+# ensemble's CV R², the accuracy guard. The raw series cover only the panel
+# years, so the merge drops no row for its year.
+PROXY = gen.Shape(10, (2014, 2016), (2014, 2016), (2014, 2016), noise=0.05)
 # the same with an additive signal and 2 panel years: 200 rows
-LINEAR_PROXY = gen.Shape(10, (1901, 2016), (2015, 2018), (1901, 2019), signal="linear",
+LINEAR_PROXY = gen.Shape(10, (2015, 2016), (2015, 2016), (2015, 2016), signal="linear",
                          noise=0.05)
 # all 193 ISO3 codes of the alias table x 14 panel years (2003-2016) x 10 items,
-# less the two countries whose temperature series is missing: 26,740 panel rows.
-# The proxies' yield series start in 1901, and the cv workloads predict over
-# thousands of rows, so that each short command of a pass takes long enough
-# to time steadily.
+# less the two countries whose temperature series is missing: 26,740 panel rows
+# from about 57k CSV rows, as raw CCKP and FAOSTAT series span more years
+# than the panel.
 WIDE = gen.Shape(193, (1991, 2016), (2003, 2018), (1998, 2019), anomalies=True)
 TREE_MODELS = ("gbm", "knn", "forest")
 
@@ -54,28 +54,29 @@ TREE_MODELS = ("gbm", "knn", "forest")
 class Workload:
     """One workload: the snapshot its commands read and the models it uses.
 
-    Without `setup_models`, each pass runs ingest, explore, cv and predict
-    (with the ensemble cv wrote) on `inputs`. With `setup_models`, set-up
-    runs cv on `setup_inputs` to make model files, and each pass runs
-    ingest, explore --vif, and predict with each of `predict_with`.
+    Without `model_inputs`, set-up runs ingest and explore on `inputs`, and
+    each pass runs `cv --models <models>` on that panel and then predict
+    with the ensemble this cv wrote. With `model_inputs`, set-up runs ingest
+    and cv on `model_inputs` to make model files, and each pass runs ingest,
+    explore --vif, and predict with each of `predict_with`, all on `inputs`.
     """
 
     name: str
     inputs: gen.Shape
     feature_rows: int
-    models: tuple[str, ...] = ()
+    models: tuple[str, ...]
     k: int = 2
-    setup_inputs: Optional[gen.Shape] = None
-    setup_models: tuple[str, ...] = ()
+    model_inputs: Optional[gen.Shape] = None
     predict_with: tuple[str, ...] = ("ensemble",)
 
 
 WORKLOADS = {
     w.name: w
     for w in (
-        Workload("cv-linear", LINEAR_PROXY, 50000, ("ols", "sgd")),
-        Workload("cv-nonlinear", PROXY, 3000, TREE_MODELS),
-        Workload("ingest-predict", WIDE, 10000, setup_inputs=PROXY, setup_models=TREE_MODELS,
+        # predict scores as many rows as the panel holds
+        Workload("cv-linear", LINEAR_PROXY, 200, ("ols", "sgd")),
+        Workload("cv-nonlinear", PROXY, 300, TREE_MODELS),
+        Workload("ingest-predict", WIDE, 20000, TREE_MODELS, model_inputs=PROXY,
                  predict_with=("forest", "ensemble")),
     )
 }
@@ -97,8 +98,8 @@ PER_LAYER = {
     "persist.load_panel_s": "s", "persist.load_model_s": "s",
     "cli.import_s": "s",
     **{f"{layer}.self_s": "s" for layer in tracer.LAYERS},
-    "trace.wall_s": "s", "trace.untraced_wall_s": "s", "trace.overhead_s": "s",
-    "trace.accounted_share": "ratio",
+    "trace.wall_s": "s", "trace.untraced_wall_s": "s", "trace.overhead_ratio": "ratio",
+    "trace.layer_share": "ratio",
 }
 
 
@@ -109,6 +110,18 @@ class Step:
     label: str
     argv: list[str]
     check: Callable[[], list[str]]
+
+
+@dataclass
+class Inputs:
+    """What `gen.py` wrote for one run: raw CSVs, the panel rows the merge
+    must keep, the feature rows for predict, and the set-up's raw CSVs."""
+
+    raw: dict[str, Path]
+    rows: int
+    features: Path
+    model_raw: Optional[dict[str, Path]]
+    model_rows: int
 
 
 @dataclass
@@ -198,11 +211,34 @@ class Bench:
 
     # ---------------------------------------------------------------- passes
 
-    def io_flags(self, inputs: dict[str, Path]) -> list[str]:
-        return ["--rain", str(inputs["rain"]), "--temp", str(inputs["temp"]),
-                "--pesticides", str(inputs["pesticides"]), "--yield", str(inputs["yield"])]
+    def write_inputs(self, where: Path) -> Inputs:
+        """Generate the workload's inputs from the seed (not part of set-up time)."""
+        wl = self.wl
+        raw, rows = gen.write_inputs(where / "raw", wl.inputs, self.seed)
+        features = where / "features.csv"
+        gen.write_features(features, wl.inputs, self.seed, wl.feature_rows)
+        model_raw, model_rows = None, 0
+        if wl.model_inputs is not None:
+            model_raw, model_rows = gen.write_inputs(where / "model_raw", wl.model_inputs,
+                                                     self.seed)
+        return Inputs(raw, rows, features, model_raw, model_rows)
 
-    def cv_step(self, panel: Path, out: Path, models: tuple[str, ...], k: int) -> Step:
+    def io_flags(self, raw: dict[str, Path]) -> list[str]:
+        return ["--rain", str(raw["rain"]), "--temp", str(raw["temp"]),
+                "--pesticides", str(raw["pesticides"]), "--yield", str(raw["yield"])]
+
+    def ingest_step(self, raw: dict[str, Path], rows: int, out: Path,
+                    all_counters: bool) -> Step:
+        return Step("ingest", ["ingest", *self.io_flags(raw), "--out", str(out)],
+                    lambda: checks.check_ingest(out, rows, all_counters))
+
+    def explore_step(self, raw: dict[str, Path], out: Path, vif: bool) -> Step:
+        return Step("explore", ["explore", *self.io_flags(raw), "--out", str(out)]
+                    + (["--vif"] if vif else []),
+                    lambda: checks.check_explore(out, vif))
+
+    def cv_step(self, panel: Path, out: Path) -> Step:
+        models, k = self.wl.models, self.wl.k
         return Step("cv", ["cv", "--panel", str(panel), "--out", str(out), "--k", str(k),
                            "--models", ",".join(models)],
                     lambda: checks.check_cv(out, models, k))
@@ -213,76 +249,63 @@ class Bench:
                                 "--out", str(out)],
                     lambda: checks.check_predict(out, rows))
 
-    def setup(self, where: Path) -> tuple[dict, int, Path, Optional[Path]]:
-        """Write the inputs; with setup_models, also ingest and cv them.
+    def setup_steps(self, out: Path, data: Inputs) -> list[Step]:
+        """The commands that prepare what the passes read, written under `out`."""
+        wl, panel = self.wl, out / "panel"
+        if wl.model_inputs is None:
+            return [self.ingest_step(data.raw, data.rows, panel, wl.inputs.anomalies),
+                    self.explore_step(data.raw, out / "explore", vif=False)]
+        return [self.ingest_step(data.model_raw, data.model_rows, panel, False),
+                self.cv_step(panel / "panel.json", out / "cv")]
 
-        Returns (input paths, expected panel rows, feature CSV, models dir).
-        """
+    def pass_steps(self, out: Path, data: Inputs, setup: Path) -> list[Step]:
+        """One pass's commands; `setup` is the output directory of set-up."""
         wl = self.wl
-        inputs, expected = gen.write_inputs(where / "inputs", wl.inputs, self.seed)
-        features = where / "features.csv"
-        gen.write_features(features, wl.inputs, self.seed, wl.feature_rows)
-        if not wl.setup_models:
-            return inputs, expected, features, None
-        model_inputs, model_rows = gen.write_inputs(where / "model_inputs", wl.setup_inputs,
-                                                    self.seed)
-        ingest_out, cv_out = where / "model_panel", where / "model_cv"
-        self.run_steps([
-            Step("setup-ingest", ["ingest", *self.io_flags(model_inputs), "--out",
-                                  str(ingest_out)],
-                 lambda: checks.check_ingest(ingest_out, model_rows, False)),
-            self.cv_step(ingest_out / "panel.json", cv_out, wl.setup_models, wl.k),
-        ])
-        return inputs, expected, features, cv_out
-
-    def pass_steps(self, out: Path, inputs: dict, expected: int, features: Path,
-                   models: Optional[Path]) -> list[Step]:
-        wl = self.wl
-        ingest_out, explore_out = out / "ingest", out / "explore"
-        vif = models is not None
-        steps = [
-            Step("ingest", ["ingest", *self.io_flags(inputs), "--out", str(ingest_out)],
-                 lambda: checks.check_ingest(ingest_out, expected, wl.inputs.anomalies)),
-            Step("explore", ["explore", *self.io_flags(inputs), "--out", str(explore_out)]
-                 + (["--vif"] if vif else []),
-                 lambda: checks.check_explore(explore_out, vif)),
-        ]
-        if models is None:
+        if wl.model_inputs is None:
             cv_out = out / "cv"
-            steps.append(self.cv_step(ingest_out / "panel.json", cv_out, wl.models, wl.k))
-            models = cv_out / "models"
-        else:
-            models = models / "models"
-        steps += [self.predict_step(models / f"{name}.json", features,
+            return [self.cv_step(setup / "panel" / "panel.json", cv_out),
+                    *(self.predict_step(cv_out / "models" / f"{name}.json", data.features,
+                                        out / f"predict-{name}.csv")
+                      for name in wl.predict_with)]
+        return [self.ingest_step(data.raw, data.rows, out / "ingest", wl.inputs.anomalies),
+                self.explore_step(data.raw, out / "explore", vif=True),
+                *(self.predict_step(setup / "cv" / "models" / f"{name}.json", data.features,
                                     out / f"predict-{name}.csv")
-                  for name in wl.predict_with]
-        return steps
+                  for name in wl.predict_with)]
+
+
+def _seconds(outcomes: list[Outcome], label: Optional[str] = None) -> float:
+    """Summed time of the commands, or of those with `label`."""
+    return sum(o.seconds for o in outcomes if label in (None, o.label))
 
 
 def measure(root: Path, work: Path, wl: Workload, seed: int, seconds: float,
             trace: bool, blas_threads: int = 1) -> dict:
     """One benchmark run; returns the result object printed as JSON."""
     bench = Bench(root, work, wl, seed, blas_threads)
-    setups, setup_times = [], []
+    data = bench.write_inputs(work / "inputs")
+    setup = work / "setup0"
+    setups: list[list[Outcome]] = []
+    setup_reference: dict[str, str] = {}
     while not setups or not trace and (
             len(setups) < SETUP_MIN_REPEATS
-            or len(setups) < SETUP_MAX_REPEATS and sum(setup_times) < SETUP_MIN_S):
-        start = time.perf_counter()
-        setups.append(bench.setup(work / f"setup{len(setups)}"))
-        setup_times.append(time.perf_counter() - start)
-    inputs, expected, features, models = setups[0]
-    if models is not None:
-        reference_models = checks.digest_tree(models)
-        for i, later in enumerate(setups[1:], start=1):
-            bench.compare(reference_models, later[3], f"set-up {i} models")
-    r2_source = models if models is not None else work / "pass0" / "cv"
+            or len(setups) < SETUP_MAX_REPEATS
+            and sum(_seconds(s) for s in setups) < SETUP_MIN_S):
+        out = work / f"setup{len(setups)}"
+        setups.append(bench.run_steps(bench.setup_steps(out, data)))
+        if out == setup:
+            setup_reference.update(checks.digest_tree(out))
+        else:
+            bench.compare(setup_reference, out, out.name)
+            shutil.rmtree(out)
+    r2_source = setup / "cv" if wl.model_inputs is not None else work / "pass0" / "cv"
 
     passes: list[list[Outcome]] = []
     reference: dict[str, str] = {}
 
     def one_pass(i: int) -> None:
         out = work / f"pass{i}"
-        passes.append(bench.run_steps(bench.pass_steps(out, inputs, expected, features, models)))
+        passes.append(bench.run_steps(bench.pass_steps(out, data, setup)))
         if i == 0:
             reference.update(checks.digest_tree(out))
         else:
@@ -295,10 +318,13 @@ def measure(root: Path, work: Path, wl: Workload, seed: int, seconds: float,
         start, pairs = time.perf_counter(), []
         while True:
             pair = {}
-            for mode in ("untraced", "traced"):
+            # alternate which pass of a pair runs first, so that a drift in
+            # machine speed does not always favour the same one
+            order = ("untraced", "traced") if len(pairs) % 2 == 0 else ("traced", "untraced")
+            for mode in order:
                 out = work / mode
                 out.mkdir()
-                steps = bench.pass_steps(out, inputs, expected, features, models)
+                steps = bench.pass_steps(out, data, setup)
                 pair[mode] = bench.in_process(steps, out, trace=mode == "traced")
                 bench.compare(reference, out, f"{mode} in-process pass")
                 shutil.rmtree(out)
@@ -314,7 +340,7 @@ def measure(root: Path, work: Path, wl: Workload, seed: int, seconds: float,
             traced = [tracer.layer_metrics(p["traced"]) for p in pairs]
             for p, m in zip(pairs, traced):
                 m["trace.untraced_wall_s"] = sum(c["seconds"] for c in p["untraced"]["commands"])
-                m["trace.overhead_s"] = m["trace.wall_s"] - m["trace.untraced_wall_s"]
+                m["trace.overhead_ratio"] = m["trace.wall_s"] / m["trace.untraced_wall_s"]
             metrics = {name: statistics.median([m[name] for m in traced]) for name in traced[0]}
             spans = work.parent / f"spans-{wl.name}.json"
             spans.write_text(json.dumps(pairs[-1]["traced"]["spans"]))
@@ -328,16 +354,20 @@ def measure(root: Path, work: Path, wl: Workload, seed: int, seconds: float,
             if elapsed + elapsed / len(passes) > seconds:
                 break
 
-        def per_pass(labels: tuple[str, ...]) -> float:
-            return statistics.median([sum(o.seconds for o in p if o.label in labels)
-                                      for p in passes])
+        # Pass and command times are means: the box's slow spells drift over
+        # minutes, and in 10-seed sweeps the mean's run-to-run spread was
+        # about a fifth below the median's (README.md, "Noise on a shared box").
+        def command_s(label: str) -> float:
+            """Mean time of a command: over the passes if they run it, else over the set-ups."""
+            runs = passes if any(o.label == label for o in passes[0]) else setups
+            return statistics.mean([_seconds(r, label) for r in runs])
 
         metrics = {
-            "setup_s": statistics.median(setup_times),
-            "wall_s": statistics.median([sum(o.seconds for o in p) for p in passes]),
-            "ingest_s": per_pass(("ingest",)),
-            "explore_s": per_pass(("explore",)),
-            "predict_s": per_pass(("predict",)),
+            "setup_s": statistics.median([_seconds(s) for s in setups]),
+            "wall_s": statistics.mean([_seconds(p) for p in passes]),
+            "ingest_s": command_s("ingest"),
+            "explore_s": command_s("explore"),
+            "predict_s": command_s("predict"),
             "peak_rss_mb": statistics.median([max(o.rss_mb for o in p) for p in passes]),
         }
         try:
@@ -345,8 +375,9 @@ def measure(root: Path, work: Path, wl: Workload, seed: int, seconds: float,
         except (OSError, ValueError, KeyError, TypeError) as exc:
             bench.record([f"no cv r2: {exc}"])
         units = END_TO_END
-        print(f"passes={len(passes)} pass_walls="
-              + ",".join(f"{sum(o.seconds for o in p):.3f}" for p in passes))
+        print("setups=" + ",".join(f"{_seconds(s):.3f}" for s in setups)
+              + f" passes={len(passes)} pass_walls="
+              + ",".join(f"{_seconds(p):.3f}" for p in passes))
 
     for problem in bench.problems:
         print(f"problem: {problem}", file=sys.stderr)
