@@ -6,7 +6,7 @@ SGD-trained linear, CART, gradient boosting, k-NN, random forest) plus
 their averaging ensemble, with deterministic JSON artifacts throughout.
 """
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 from .core import (
     ClimateRecord,

@@ -12,9 +12,9 @@ import argparse
 import csv
 import hashlib
 import io
-import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
@@ -31,6 +31,7 @@ from .errors import (
     FormatError,
     InsufficientRows,
     InvalidConfig,
+    InvalidData,
     IoError,
     ShapeError,
     UndefinedKappa,
@@ -41,9 +42,28 @@ from .knn import KnnModel, fit_knn
 from .linear import LinearModel, SgdConfig, fit_ols, fit_sgd
 from .trees import ForestConfig, GbmConfig, TreeConfig, fit_cart, fit_forest, fit_gbm
 
-MODEL_ORDER = ("ols", "sgd", "cart", "gbm", "knn", "forest")
-
 KNN_K = 5
+
+# name -> fit(x, y, mask, names, seed), in report order. Each entry looks its
+# fit_* function up by name when called, so wrappers installed on this
+# module's globals (perfbench's tracer) see every fit. Scaled models receive
+# the one-hot mask so indicator columns pass through standardization untouched.
+MODEL_FITS = {
+    "ols": lambda x, y, mask, names, seed: fit_ols(x, y, feature_names=names),
+    "sgd": lambda x, y, mask, names, seed: fit_sgd(
+        x, y, SgdConfig(seed=seed), passthrough=mask, feature_names=names
+    ),
+    "cart": lambda x, y, mask, names, seed: fit_cart(x, y, TreeConfig()),
+    "gbm": lambda x, y, mask, names, seed: fit_gbm(x, y, GbmConfig(seed=seed)),
+    "knn": lambda x, y, mask, names, seed: fit_knn(
+        x, y, k=KNN_K, passthrough=mask, feature_names=names
+    ),
+    "forest": lambda x, y, mask, names, seed: fit_forest(
+        x, y, ForestConfig(seed=seed)
+    ),
+}
+
+MODEL_ORDER = tuple(MODEL_FITS)
 
 CONFIG_KEYS = {
     "cv": {
@@ -57,22 +77,6 @@ CONFIG_KEYS = {
         "test_fraction",
     },
 }
-
-
-def _threads_cap() -> int:
-    """YIELDCAST_THREADS caps worker parallelism; 0 means auto.
-
-    Execution is sequential either way (the contract is equality with a
-    sequential run), so the value is validated and recorded only.
-    """
-    raw = os.environ.get("YIELDCAST_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InvalidConfig(f"YIELDCAST_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise InvalidConfig(f"YIELDCAST_THREADS must be >= 0, got {value}")
-    return value
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -241,6 +245,11 @@ class RunConfig:
             )
         if len(set(self.models)) != len(self.models):
             raise InvalidConfig("duplicate model names selected")
+        for name in ("encode_item", "encode_country"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidConfig(
+                    f"{name} must be true or false, got {getattr(self, name)!r}"
+                )
         if not isinstance(self.test_fraction, float) or not 0.0 < self.test_fraction < 1.0:
             raise InvalidConfig(
                 f"test_fraction must be a float in (0, 1), got {self.test_fraction!r}"
@@ -280,8 +289,8 @@ def _run_config(args) -> RunConfig:
         k=settings.get("k", 10),
         seed=settings.get("seed", 0),
         models=_parse_models(settings.get("models", ",".join(MODEL_ORDER))),
-        encode_item=bool(settings.get("encode_item", True)),
-        encode_country=bool(settings.get("encode_country", False)),
+        encode_item=settings.get("encode_item", True),
+        encode_country=settings.get("encode_country", False),
         test_fraction=settings.get("test_fraction", 0.2),
     )
 
@@ -292,50 +301,14 @@ def model_specs(
     feature_names: Sequence[str],
     seed: int,
 ) -> list[evaluate.ModelSpec]:
-    """ModelSpec per selected name, in the given order.
-
-    Scaled models receive the one-hot mask so indicator columns pass
-    through standardization untouched.
-    """
-    mask = tuple(onehot)
-    fnames = tuple(feature_names)
-    factories = {
-        "ols": lambda: evaluate.ModelSpec(
-            "ols",
-            fit=lambda x, y: fit_ols(x, y, feature_names=fnames),
-            predict=persist.predict_model,
-        ),
-        "sgd": lambda: evaluate.ModelSpec(
-            "sgd",
-            fit=lambda x, y: fit_sgd(
-                x, y, SgdConfig(seed=seed), passthrough=mask, feature_names=fnames
-            ),
-            predict=persist.predict_model,
-        ),
-        "cart": lambda: evaluate.ModelSpec(
-            "cart",
-            fit=lambda x, y: fit_cart(x, y, TreeConfig()),
-            predict=persist.predict_model,
-        ),
-        "gbm": lambda: evaluate.ModelSpec(
-            "gbm",
-            fit=lambda x, y: fit_gbm(x, y, GbmConfig(seed=seed)),
-            predict=persist.predict_model,
-        ),
-        "knn": lambda: evaluate.ModelSpec(
-            "knn",
-            fit=lambda x, y: fit_knn(
-                x, y, k=KNN_K, passthrough=mask, feature_names=fnames
-            ),
-            predict=persist.predict_model,
-        ),
-        "forest": lambda: evaluate.ModelSpec(
-            "forest",
-            fit=lambda x, y: fit_forest(x, y, ForestConfig(seed=seed)),
-            predict=persist.predict_model,
-        ),
-    }
-    return [factories[name]() for name in names]
+    """ModelSpec per selected name, in the given order; all share predict_model."""
+    context = {"mask": tuple(onehot), "names": tuple(feature_names), "seed": seed}
+    return [
+        evaluate.ModelSpec(
+            name, fit=partial(MODEL_FITS[name], **context), predict=persist.predict_model
+        )
+        for name in names
+    ]
 
 
 def _fmt_mean_std(summary: evaluate.MetricSummary) -> str:
@@ -381,7 +354,6 @@ def _kappa_entry(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
 
 
 def cmd_cv(args) -> int:
-    _threads_cap()
     cfg = _run_config(args)
     table = persist.load_panel(cfg.panel)
     feature_cfg = FeatureConfig(
@@ -392,50 +364,23 @@ def cmd_cv(args) -> int:
     specs = model_specs(cfg.models, m.onehot, m.feature_names, cfg.seed)
 
     if len(specs) >= 2:
-        member_log: list[dict] = []
-        ensemble_result = evaluate.ensemble_cv(specs, m, plan, member_log=member_log)
-        per_model = []
-        for pos, name in enumerate(cfg.models):
-            key = f"{pos}:{name}"
-            per_fold = [
-                evaluate.metrics_bundle(
-                    m.y[entry["test_indices"]], entry["members"][key], strict=False
-                )
-                for entry in member_log
-            ]
-            per_model.append(
-                evaluate.CvResult(
-                    model_label=name,
-                    per_fold=tuple(per_fold),
-                    summary=evaluate.summarize_folds(per_fold),
-                )
-            )
+        per_model, ensemble_result = evaluate.ensemble_cv(specs, m, plan)
     else:
         ensemble_result = None
         per_model = [evaluate.cross_validate(specs[0], m, plan)]
 
     train, test = train_test_split(m, cfg.test_fraction, cfg.seed)
-    fitted: dict[str, Any] = {}
+    fitted: dict[str, Any] = {spec.name: spec.fit(train.x, train.y) for spec in specs}
+    if len(specs) >= 2:
+        fitted["ensemble"] = persist.EnsembleModel(members=tuple(fitted.items()))
     holdout_metrics: dict[str, dict] = {}
     kappa: dict[str, dict] = {}
-    for spec in specs:
-        model = spec.fit(train.x, train.y)
-        fitted[spec.name] = model
-        yhat = np.asarray(spec.predict(model, test.x), dtype=float)
-        holdout_metrics[spec.name] = evaluate.metrics_bundle(
+    for name, model in fitted.items():
+        yhat = persist.predict_model(model, test.x)
+        holdout_metrics[name] = evaluate.metrics_bundle(
             test.y, yhat, strict=False
         ).to_dict()
-        kappa[spec.name] = _kappa_entry(test.y, yhat)
-    if len(specs) >= 2:
-        ensemble_model = persist.EnsembleModel(
-            members=tuple((name, fitted[name]) for name in cfg.models)
-        )
-        fitted["ensemble"] = ensemble_model
-        yhat = persist.predict_model(ensemble_model, test.x)
-        holdout_metrics["ensemble"] = evaluate.metrics_bundle(
-            test.y, yhat, strict=False
-        ).to_dict()
-        kappa["ensemble"] = _kappa_entry(test.y, yhat)
+        kappa[name] = _kappa_entry(test.y, yhat)
 
     eda: dict[str, Any] = {
         "item_counts": [
@@ -462,13 +407,7 @@ def cmd_cv(args) -> int:
             "seed": cfg.seed,
             "models": list(cfg.models),
             "test_fraction": cfg.test_fraction,
-            "feature_config": {
-                "use_rain": feature_cfg.use_rain,
-                "use_temp": feature_cfg.use_temp,
-                "use_pesticides": feature_cfg.use_pesticides,
-                "encode_item": feature_cfg.encode_item,
-                "encode_country": feature_cfg.encode_country,
-            },
+            "feature_config": asdict(feature_cfg),
             "knn_k": KNN_K,
         },
         merge_report=table.provenance.get("merge", {}),
@@ -536,7 +475,11 @@ def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
             raise FormatError(f"{path}:{i}: non-numeric cell: {exc}") from exc
     if not data:
         raise FormatError(f"{path}: no data rows")
-    return header, np.array(data)
+    x = np.array(data)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if len(bad):
+        raise InvalidData(f"{path}:{bad[0] + 2}: non-finite cell")
+    return header, x
 
 
 def cmd_predict(args) -> int:

@@ -269,12 +269,10 @@ def apply_scaler(s: Scaler, x: np.ndarray) -> np.ndarray:
     return (x - s.means) / s.stds
 
 
-def invert_scaler(s: Scaler, z: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`apply_scaler`."""
-    z = np.asarray(z, dtype=float)
-    if z.ndim != 2 or z.shape[1] != len(s.means):
-        raise ShapeError(f"expected {len(s.means)} columns, got shape {z.shape}")
-    return z * s.stds + s.means
+def fsum_columns(stack: np.ndarray) -> np.ndarray:
+    """Exactly rounded sum of each column, so member order cannot change bits."""
+    # one column at a time: .tolist() on the whole stack holds ~4x its size
+    return np.array([math.fsum(c) for c in np.asarray(stack).T])
 
 
 def train_test_split(
@@ -311,6 +309,6 @@ __all__ = [
     "build_feature_matrix",
     "fit_scaler",
     "apply_scaler",
-    "invert_scaler",
+    "fsum_columns",
     "train_test_split",
 ]

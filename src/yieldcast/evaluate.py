@@ -1,11 +1,11 @@
 """Regression metrics, k-fold cross-validation, agreement banding, ensembling.
 
-Cross-validation takes an explicit FoldPlan so every consumer (single model,
-repeated runs, ensemble) scores against the same partition. Model access goes
-through ModelSpec callables; any scaler refitting happens inside each
-ModelSpec's fit, so folds never leak holdout statistics. Agreement (Cohen's kappa) is
-defined on a regression task by discretizing both vectors with quantile bins
-taken from the true targets.
+Cross-validation takes an explicit FoldPlan, and one fold runner fits every
+model on it, so single-model and ensemble scores share one partition and one
+code path. Model access goes through ModelSpec callables; any scaler refitting
+happens inside each ModelSpec's fit, so folds never leak holdout statistics.
+Agreement (Cohen's kappa) is defined on a regression task by discretizing both
+vectors with quantile bins taken from the true targets.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import FeatureMatrix
+from .core import FeatureMatrix, fsum_columns
 from .errors import (
     FoldFailed,
     InsufficientRows,
@@ -268,42 +268,50 @@ def summarize_folds(per_fold: Sequence[MetricsReport]) -> dict[str, MetricSummar
     return out
 
 
-def cross_validate(spec: ModelSpec, m: FeatureMatrix, plan: FoldPlan) -> CvResult:
-    """Fit on each fold's complement, score its holdout, aggregate."""
+def _fold_predictions(
+    specs: Sequence[ModelSpec], m: FeatureMatrix, plan: FoldPlan
+) -> list[tuple[np.ndarray, list[np.ndarray]]]:
+    """Fit every spec on each fold's complement and predict its holdout.
+
+    Returns (test indices, one prediction vector per spec) for each fold.
+    Failures are collected across the whole run and raised together as
+    FoldFailed.
+    """
     if plan.n != len(m.y):
         raise ShapeError(f"plan covers {plan.n} rows but matrix has {len(m.y)}")
-    per_fold = []
+    folds = []
+    failures: list[tuple[int, str]] = []
     for fold in range(plan.k):
         train = plan.train_indices(fold)
         test = plan.test_indices(fold)
-        try:
-            fitted = spec.fit(m.x[train], m.y[train])
-            yhat = np.asarray(spec.predict(fitted, m.x[test]), dtype=float)
-        except YieldcastError as exc:
-            raise FoldFailed([(fold, f"{spec.name}: {exc}")]) from exc
-        per_fold.append(metrics_bundle(m.y[test], yhat, strict=False))
+        preds = []
+        for spec in specs:
+            try:
+                fitted = spec.fit(m.x[train], m.y[train])
+                preds.append(np.asarray(spec.predict(fitted, m.x[test]), dtype=float))
+            except YieldcastError as exc:
+                failures.append((fold, f"{spec.name}: {exc}"))
+        folds.append((test, preds))
+    if failures:
+        raise FoldFailed(failures)
+    return folds
+
+
+def _scored(
+    label: str, m: FeatureMatrix, folds: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> CvResult:
+    per_fold = [metrics_bundle(m.y[test], yhat, strict=False) for test, yhat in folds]
     return CvResult(
-        model_label=spec.name,
+        model_label=label,
         per_fold=tuple(per_fold),
         summary=summarize_folds(per_fold),
     )
 
 
-def repeat_cross_validate(
-    spec: ModelSpec, m: FeatureMatrix, k: int, seeds: Sequence[int]
-) -> CvResult:
-    """Pool folds from one cross-validation per seed (mean +/- std over all)."""
-    if not seeds:
-        raise InvalidConfig("need at least one seed")
-    pooled: list[MetricsReport] = []
-    for seed in seeds:
-        result = cross_validate(spec, m, make_folds(len(m.y), k, seed))
-        pooled.extend(result.per_fold)
-    return CvResult(
-        model_label=f"{spec.name} ({len(seeds)}x{k}-fold)",
-        per_fold=tuple(pooled),
-        summary=summarize_folds(pooled),
-    )
+def cross_validate(spec: ModelSpec, m: FeatureMatrix, plan: FoldPlan) -> CvResult:
+    """Fit on each fold's complement, score its holdout, aggregate."""
+    folds = _fold_predictions([spec], m, plan)
+    return _scored(spec.name, m, [(test, preds[0]) for test, preds in folds])
 
 
 def ensemble_cv(
@@ -311,58 +319,37 @@ def ensemble_cv(
     m: FeatureMatrix,
     plan: FoldPlan,
     member_log: Optional[list] = None,
-) -> CvResult:
-    """Cross-validate the unweighted average of the member predictions.
+) -> tuple[list[CvResult], CvResult]:
+    """Cross-validate each member and the unweighted average of their predictions.
 
-    Every member must fit on every fold; failures are collected across the
-    whole run and raised together as FoldFailed. When member_log is a list,
-    one entry per fold is appended with the test indices and each member's
-    raw predictions, so the averaging is externally checkable.
+    Returns (one CvResult per member, the ensemble's CvResult), all scored on
+    the same fits. When member_log is a list, one entry per fold is appended
+    with the test indices and each member's raw predictions, so the averaging
+    is externally checkable.
     """
     if len(specs) < 2:
         raise InvalidConfig("ensemble needs at least 2 member specs")
-    if plan.n != len(m.y):
-        raise ShapeError(f"plan covers {plan.n} rows but matrix has {len(m.y)}")
-
-    per_fold = []
-    failures: list[tuple[int, str]] = []
-    for fold in range(plan.k):
-        train = plan.train_indices(fold)
-        test = plan.test_indices(fold)
-        member_preds: dict[str, np.ndarray] = {}
-        fold_ok = True
-        for pos, spec in enumerate(specs):
-            try:
-                fitted = spec.fit(m.x[train], m.y[train])
-                yhat = np.asarray(spec.predict(fitted, m.x[test]), dtype=float)
-            except YieldcastError as exc:
-                failures.append((fold, f"{spec.name}: {exc}"))
-                fold_ok = False
-                continue
-            member_preds[f"{pos}:{spec.name}"] = yhat
-        if not fold_ok:
-            continue
-        stack = np.stack(list(member_preds.values()))
-        ensemble = np.array(
-            [math.fsum(stack[:, i]) for i in range(stack.shape[1])]
-        ) / len(specs)
-        if member_log is not None:
+    folds = _fold_predictions(specs, m, plan)
+    members = [
+        _scored(spec.name, m, [(test, preds[pos]) for test, preds in folds])
+        for pos, spec in enumerate(specs)
+    ]
+    averaged = [
+        (test, fsum_columns(np.stack(preds)) / len(specs)) for test, preds in folds
+    ]
+    if member_log is not None:
+        keys = [f"{pos}:{spec.name}" for pos, spec in enumerate(specs)]
+        for fold, ((test, preds), (_, ensemble)) in enumerate(zip(folds, averaged)):
             member_log.append(
                 {
                     "fold": fold,
                     "test_indices": test.copy(),
-                    "members": member_preds,
+                    "members": dict(zip(keys, preds)),
                     "ensemble": ensemble,
                 }
             )
-        per_fold.append(metrics_bundle(m.y[test], ensemble, strict=False))
-    if failures:
-        raise FoldFailed(failures)
-    return CvResult(
-        model_label="ensemble(" + "+".join(s.name for s in specs) + ")",
-        per_fold=tuple(per_fold),
-        summary=summarize_folds(per_fold),
-    )
+    label = "ensemble(" + "+".join(s.name for s in specs) + ")"
+    return members, _scored(label, m, averaged)
 
 
 @dataclass(frozen=True)
@@ -437,7 +424,6 @@ __all__ = [
     "CvResult",
     "summarize_folds",
     "cross_validate",
-    "repeat_cross_validate",
     "ensemble_cv",
     "KappaResult",
     "kappa_band",

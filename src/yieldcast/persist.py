@@ -18,7 +18,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import PanelRow, PanelTable, Scaler
+from .core import PanelRow, PanelTable, Scaler, fsum_columns
 from .errors import FormatError, InvalidConfig, IoError, UnsupportedVersion
 from .evaluate import CvResult, KappaResult
 from .knn import KnnModel, predict_knn_batch
@@ -379,9 +379,7 @@ def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
         return predict_knn_batch(model, x)
     if isinstance(model, EnsembleModel):
         member = np.stack([predict_model(m, x) for _, m in model.members])
-        return np.array(
-            [math.fsum(member[:, i]) for i in range(member.shape[1])]
-        ) / len(model.members)
+        return fsum_columns(member) / len(model.members)
     raise InvalidConfig(f"cannot predict with {type(model).__name__}")
 
 

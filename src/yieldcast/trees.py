@@ -15,6 +15,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from .core import fsum_columns
 from .errors import InvalidData
 
 FeatureSampler = Callable[[], Sequence[int]]
@@ -259,7 +260,7 @@ def predict_forest(f: Forest, x_row: Sequence[float]) -> float:
 def predict_forest_batch(f: Forest, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     member = np.stack([predict_tree_batch(t, x) for t in f.trees])
-    return np.array([math.fsum(member[:, i]) for i in range(x.shape[0])]) / len(f.trees)
+    return fsum_columns(member) / len(f.trees)
 
 
 def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmModel:
@@ -289,8 +290,7 @@ def predict_gbm(m: GbmModel, x_row: Sequence[float]) -> float:
 def predict_gbm_batch(m: GbmModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     stage_out = np.stack([predict_tree_batch(t, x) for t in m.stages])
-    sums = np.array([math.fsum(stage_out[:, i]) for i in range(x.shape[0])])
-    return m.init_value + m.learning_rate * sums
+    return m.init_value + m.learning_rate * fsum_columns(stage_out)
 
 
 __all__ = [

@@ -76,12 +76,10 @@ def pipeline_run(tmp_path_factory):
         paths = synth.write_snapshot(base / "snapshot")
         source = "synthetic proxy"
 
-    env = dict(os.environ, YIELDCAST_THREADS="0")
-
     def run(argv):
         proc = subprocess.run(
             [sys.executable, "-m", "yieldcast.cli", *argv],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr[-2000:]
         return proc.stdout
@@ -384,7 +382,7 @@ def test_criterion_10_ensemble_averaging_identity(small_matrix):
         plan = make_folds(m.n, k=10, seed=0)
         specs = model_specs(("ols", "cart", "knn"), m.onehot, m.feature_names, 0)
         log: list = []
-        result = ensemble_cv(specs, m, plan, member_log=log)
+        _, result = ensemble_cv(specs, m, plan, member_log=log)
         assert len(log) == plan.k
         for fold, entry in enumerate(log):
             stacked = np.stack(list(entry["members"].values()))
@@ -397,7 +395,7 @@ def test_criterion_10_ensemble_averaging_identity(small_matrix):
             assert result.per_fold[fold] == expected
 
         cart_specs = model_specs(("cart",), m.onehot, m.feature_names, 0)
-        doubled = ensemble_cv([cart_specs[0], cart_specs[0]], m, plan)
+        _, doubled = ensemble_cv([cart_specs[0], cart_specs[0]], m, plan)
         single = cross_validate(cart_specs[0], m, plan)
         assert [r.to_dict() for r in doubled.per_fold] == [
             r.to_dict() for r in single.per_fold

@@ -180,13 +180,19 @@ class TestCv:
             "rain_mm", "temp_c", "pesticides_tonnes",
         ]
 
-    def test_threads_env_validated(self, panel_dir, tmp_path, monkeypatch):
-        base = ["cv", "--panel", str(panel_dir / "panel.json"),
-                "--out", str(tmp_path), "--models", "ols"]
-        monkeypatch.setenv("YIELDCAST_THREADS", "abc")
-        assert main(base) == 2
-        monkeypatch.setenv("YIELDCAST_THREADS", "4")
-        assert main(base) == 0
+    @pytest.mark.parametrize(
+        "setting", [{"encode_item": "false"}, {"encode_country": 1}]
+    )
+    def test_config_booleans_must_be_json_booleans(
+        self, panel_dir, tmp_path, capsys, setting
+    ):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"models": "ols", **setting}))
+        rc = main(["cv", "--panel", str(panel_dir / "panel.json"),
+                   "--out", str(tmp_path), "--config", str(config)])
+        assert rc == 2
+        assert f"{next(iter(setting))} must be true or false" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
 
     def test_reruns_are_byte_identical(self, panel_dir, tmp_path, capsys):
         outs = []
@@ -267,6 +273,17 @@ class TestPredict:
         rc = main(["predict", "--model", str(ols_model_path),
                    "--input", str(inp), "--out", str(tmp_path / "p.csv")])
         assert rc == 1
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell(self, ols_model_path, tmp_path, capsys, cell):
+        inp = tmp_path / "rows.csv"
+        inp.write_text(f"rain_mm,temp_c,pesticides_tonnes\n1.0,2.0,3.0\n1.0,{cell},3.0\n")
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(ols_model_path),
+                   "--input", str(inp), "--out", str(out)])
+        assert rc == 2
+        assert f"{inp}:3: non-finite cell" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tree_feature_index_out_of_range(self, tmp_path):
         model_path = tmp_path / "cart.json"

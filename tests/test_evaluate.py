@@ -37,7 +37,6 @@ from yieldcast.evaluate import (
     metrics_bundle,
     mse,
     r2,
-    repeat_cross_validate,
     rmse,
     summarize_folds,
 )
@@ -234,26 +233,11 @@ class TestCrossValidate:
         m = matrix_from(rng.normal(size=(20, 2)), rng.normal(size=20))
         with pytest.raises(FoldFailed) as excinfo:
             cross_validate(spec, m, make_folds(20, k=2))
-        assert excinfo.value.failures == [(0, "broken: synthetic failure")]
+        assert excinfo.value.failures == [
+            (0, "broken: synthetic failure"),
+            (1, "broken: synthetic failure"),
+        ]
         assert "fold 0" in str(excinfo.value) and "broken" in str(excinfo.value)
-
-
-class TestRepeatCrossValidate:
-    def test_pools_folds_across_seeds(self):
-        rng = np.random.default_rng(3)
-        m = matrix_from(rng.normal(size=(30, 2)), rng.normal(size=30))
-        pooled = repeat_cross_validate(MEAN_SPEC, m, k=3, seeds=[0, 1])
-        assert pooled.model_label == "mean (2x3-fold)"
-        assert len(pooled.per_fold) == 6
-        runs = [cross_validate(MEAN_SPEC, m, make_folds(30, 3, s)) for s in (0, 1)]
-        assert pooled.per_fold == runs[0].per_fold + runs[1].per_fold
-        assert pooled.summary == summarize_folds(pooled.per_fold)
-
-    def test_needs_a_seed(self):
-        rng = np.random.default_rng(4)
-        m = matrix_from(rng.normal(size=(10, 1)), rng.normal(size=10))
-        with pytest.raises(InvalidConfig):
-            repeat_cross_validate(MEAN_SPEC, m, k=2, seeds=[])
 
 
 def shift_spec(name, delta):
@@ -270,8 +254,8 @@ class TestEnsembleCv:
         m = matrix_from(rng.normal(size=(24, 2)), rng.normal(size=24))
         plan = make_folds(24, k=3, seed=0)
         log: list = []
-        result = ensemble_cv([shift_spec("lo", -1.0), shift_spec("hi", 2.0)],
-                             m, plan, member_log=log)
+        _, result = ensemble_cv([shift_spec("lo", -1.0), shift_spec("hi", 2.0)],
+                                m, plan, member_log=log)
         assert result.model_label == "ensemble(lo+hi)"
         assert len(log) == 3
         for fold, entry in enumerate(log):
@@ -290,11 +274,21 @@ class TestEnsembleCv:
         rng = np.random.default_rng(7)
         m = matrix_from(rng.normal(size=(30, 2)), rng.normal(size=30))
         plan = make_folds(30, k=5, seed=2)
-        double = ensemble_cv([MEAN_SPEC, MEAN_SPEC], m, plan)
+        _, double = ensemble_cv([MEAN_SPEC, MEAN_SPEC], m, plan)
         single = cross_validate(MEAN_SPEC, m, plan)
         assert [r.to_dict() for r in double.per_fold] == [
             r.to_dict() for r in single.per_fold
         ]
+
+    def test_each_member_matches_its_own_cross_validation(self):
+        rng = np.random.default_rng(11)
+        m = matrix_from(rng.normal(size=(30, 2)), rng.normal(size=30))
+        plan = make_folds(30, k=4, seed=5)
+        specs = [shift_spec("lo", -1.0), MEAN_SPEC, shift_spec("hi", 2.0)]
+        members, _ = ensemble_cv(specs, m, plan)
+        assert [r.model_label for r in members] == ["lo", "mean", "hi"]
+        for spec, result in zip(specs, members):
+            assert result == cross_validate(spec, m, plan)
 
     def test_needs_two_members(self):
         rng = np.random.default_rng(8)
