@@ -13,7 +13,7 @@ import csv
 import hashlib
 import io
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -22,8 +22,9 @@ import numpy as np
 
 from . import evaluate, explore, ingest, persist
 from .core import (
+    NUMERIC_FEATURES,
     FeatureConfig,
-    FeatureMatrix,
+    PanelTable,
     build_feature_matrix,
     train_test_split,
 )
@@ -38,8 +39,8 @@ from .errors import (
     UnsupportedVersion,
     YieldcastError,
 )
-from .knn import KnnModel, fit_knn
-from .linear import LinearModel, SgdConfig, fit_ols, fit_sgd
+from .knn import fit_knn
+from .linear import SgdConfig, fit_ols, fit_sgd
 from .trees import ForestConfig, GbmConfig, TreeConfig, fit_cart, fit_forest, fit_gbm
 
 KNN_K = 5
@@ -65,18 +66,8 @@ MODEL_FITS = {
 
 MODEL_ORDER = tuple(MODEL_FITS)
 
-CONFIG_KEYS = {
-    "cv": {
-        "panel",
-        "out",
-        "k",
-        "seed",
-        "models",
-        "encode_item",
-        "encode_country",
-        "test_fraction",
-    },
-}
+# Panel columns that explore and cv correlate: the numeric features, then yield.
+PANEL_VALUES = (*NUMERIC_FEATURES, "yield_hg_ha")
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -118,6 +109,23 @@ def _parse_inputs(args) -> tuple[dict, dict]:
     return parsed, digests
 
 
+def _merge(parsed: dict, digests: dict, aliases: ingest.CountryAliasMap):
+    """Join the four parsed inputs; returns (panel table, merge report)."""
+    return ingest.merge_panel(
+        parsed["rain"].records,
+        parsed["temp"].records,
+        parsed["pesticides"].records,
+        parsed["yield"].records,
+        aliases,
+        source_digests=digests,
+    )
+
+
+def _panel_values(table: PanelTable) -> np.ndarray:
+    """The PANEL_VALUES columns, one row per panel row."""
+    return np.array([[getattr(r, c) for c in PANEL_VALUES] for r in table.rows])
+
+
 def _out_dir(path: str | Path) -> Path:
     out = Path(path)
     try:
@@ -133,14 +141,7 @@ def _out_dir(path: str | Path) -> Path:
 def cmd_ingest(args) -> int:
     parsed, digests = _parse_inputs(args)
     aliases = _load_aliases(args.aliases)
-    table, report = ingest.merge_panel(
-        parsed["rain"].records,
-        parsed["temp"].records,
-        parsed["pesticides"].records,
-        parsed["yield"].records,
-        aliases,
-        source_digests=digests,
-    )
+    table, report = _merge(parsed, digests, aliases)
     out = _out_dir(args.out)
     persist.save_panel(table, out / "panel.json")
     persist.write_json(report.to_dict(), out / "merge_report.json")
@@ -185,17 +186,9 @@ def cmd_explore(args) -> int:
     freq = explore.item_frequency(parsed["yield"].records)
     _write_csv(out / "item_frequency.csv", ["item", "count"], freq)
 
-    table, _ = ingest.merge_panel(
-        parsed["rain"].records,
-        parsed["temp"].records,
-        parsed["pesticides"].records,
-        parsed["yield"].records,
-        aliases,
-        source_digests=digests,
-    )
-    names = ["rain_mm", "temp_c", "pesticides_tonnes", "yield_hg_ha"]
-    x = np.array([[getattr(r, c) for c in names] for r in table.rows])
-    corr = explore.pearson_corr_matrix(x, names)
+    table, _ = _merge(parsed, digests, aliases)
+    x = _panel_values(table)
+    corr = explore.pearson_corr_matrix(x, PANEL_VALUES)
     _write_csv(
         out / "correlation_matrix.csv",
         ["feature", *corr.names],
@@ -203,12 +196,11 @@ def cmd_explore(args) -> int:
     )
 
     if args.vif:
-        predictors = ["rain_mm", "temp_c", "pesticides_tonnes"]
-        vif_values = explore.vif(x[:, :3], predictors)
+        vif_values = explore.vif(x[:, : len(NUMERIC_FEATURES)], NUMERIC_FEATURES)
         _write_csv(
             out / "vif.csv",
             ["feature", "vif"],
-            [[name, vif_values[name]] for name in predictors],
+            [[name, vif_values[name]] for name in NUMERIC_FEATURES],
         )
 
     print(f"explored {len(table)} merged rows covering {table.year_range()}")
@@ -267,32 +259,24 @@ def _parse_models(value) -> tuple[str, ...]:
 
 
 def _run_config(args) -> RunConfig:
+    """Config-file settings overridden by explicit flags; RunConfig fills the rest."""
+    keys = {f.name for f in fields(RunConfig)}
     settings: dict[str, Any] = {}
     if args.config is not None:
         doc = persist.read_json(args.config)
         if not isinstance(doc, dict):
             raise InvalidConfig(f"config file {args.config} must hold a JSON object")
-        unknown = set(doc) - CONFIG_KEYS["cv"]
+        unknown = set(doc) - keys
         if unknown:
             raise InvalidConfig(f"unknown config keys {sorted(unknown)}")
         settings.update(doc)
-    for key in CONFIG_KEYS["cv"]:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            settings[key] = flag_value
+    settings.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
 
-    out = Path(settings.get("out", "."))
-    panel = Path(settings["panel"]) if "panel" in settings else out / "panel.json"
-    return RunConfig(
-        panel=panel,
-        out=out,
-        k=settings.get("k", 10),
-        seed=settings.get("seed", 0),
-        models=_parse_models(settings.get("models", ",".join(MODEL_ORDER))),
-        encode_item=settings.get("encode_item", True),
-        encode_country=settings.get("encode_country", False),
-        test_fraction=settings.get("test_fraction", 0.2),
-    )
+    settings["out"] = Path(settings.get("out", "."))
+    settings["panel"] = Path(settings.get("panel", settings["out"] / "panel.json"))
+    if "models" in settings:
+        settings["models"] = _parse_models(settings["models"])
+    return RunConfig(**settings)
 
 
 def model_specs(
@@ -390,10 +374,8 @@ def cmd_cv(args) -> int:
         "n_rows": len(table),
         "year_range": list(table.year_range()),
     }
-    names = ["rain_mm", "temp_c", "pesticides_tonnes", "yield_hg_ha"]
-    panel_x = np.array([[getattr(r, c) for c in names] for r in table.rows])
     try:
-        corr = explore.pearson_corr_matrix(panel_x, names)
+        corr = explore.pearson_corr_matrix(_panel_values(table), PANEL_VALUES)
         eda["correlation"] = {"names": list(corr.names), "matrix": corr.matrix}
     except YieldcastError as exc:
         eda["correlation"] = {"undefined": str(exc)}
@@ -444,29 +426,14 @@ def cmd_cv(args) -> int:
 # ----------------------------------------------------------------- predict
 
 
-def _expected_features(model) -> Optional[int]:
-    """Exact column count when the model records one; trees do not."""
-    if isinstance(model, LinearModel):
-        return len(model.coefficients)
-    if isinstance(model, KnnModel):
-        return model.x_train.shape[1]
-    if isinstance(model, persist.EnsembleModel):
-        for _, member in model.members:
-            exact = _expected_features(member)
-            if exact is not None:
-                return exact
-    return None
-
-
 def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     text = _read_bytes(path).decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    rows = [(i, row) for i, row in enumerate(csv.reader(io.StringIO(text)), 1) if row]
     if not rows:
         raise FormatError(f"{path}: empty input")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in rows[0][1]]
     data = []
-    for i, row in enumerate(rows[1:], start=2):
+    for i, row in rows[1:]:
         if len(row) != len(header):
             raise FormatError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
         try:
@@ -478,7 +445,7 @@ def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     x = np.array(data)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if len(bad):
-        raise InvalidData(f"{path}:{bad[0] + 2}: non-finite cell")
+        raise InvalidData(f"{path}:{rows[bad[0] + 1][0]}: non-finite cell")
     return header, x
 
 
@@ -486,7 +453,7 @@ def cmd_predict(args) -> int:
     model = persist.load_model(args.model)
     header, x = _read_feature_csv(args.input)
 
-    expected = _expected_features(model)
+    expected = persist.KINDS[persist.model_kind_of(model)].n_features(model)
     if expected is not None and x.shape[1] != expected:
         raise ShapeError(
             f"model expects {expected} feature columns, input has {x.shape[1]}"
@@ -571,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cv.add_argument(
         "--models",
         default=None,
-        help="comma-separated subset of ols,sgd,cart,gbm,knn,forest (default: all six)",
+        help=f"comma-separated subset of {','.join(MODEL_ORDER)} (default: all)",
     )
     p_cv.add_argument(
         "--encode-item",

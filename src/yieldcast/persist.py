@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .trees import (
 )
 
 FORMAT_VERSION = 1
-
-MODEL_KINDS = ("ols", "sgd", "cart", "forest", "gbm", "knn", "ensemble")
 
 PANEL_COLUMNS = (
     "iso3",
@@ -160,13 +158,7 @@ def _check_version(doc: Any, path: str | Path) -> dict:
 
 
 def _scaler_to_dict(s: Optional[Scaler]) -> Optional[dict]:
-    if s is None:
-        return None
-    return {
-        "means": s.means,
-        "stds": s.stds,
-        "passthrough": list(s.passthrough),
-    }
+    return None if s is None else asdict(s)
 
 
 def _scaler_from_dict(d: Optional[dict]) -> Optional[Scaler]:
@@ -204,183 +196,187 @@ def _tree_from_dict(d: dict) -> TreeNode:
     raise FormatError(f"unknown tree node kind {d.get('kind')!r}")
 
 
-def _tree_config_to_dict(cfg: TreeConfig) -> dict:
-    return {
-        "max_depth": cfg.max_depth,
-        "min_samples_leaf": cfg.min_samples_leaf,
-        "min_samples_split": cfg.min_samples_split,
-    }
+def _optional_int(v: Any) -> Optional[int]:
+    return None if v is None else int(v)
 
 
-def _tree_config_from_dict(d: dict) -> TreeConfig:
-    return TreeConfig(
-        max_depth=int(d["max_depth"]),
-        min_samples_leaf=int(d["min_samples_leaf"]),
-        min_samples_split=None
-        if d["min_samples_split"] is None
-        else int(d["min_samples_split"]),
+def _forest_from_payload(p: dict) -> Forest:
+    cfg = p["config"]
+    return Forest(
+        trees=tuple(_tree_from_dict(t) for t in p["trees"]),
+        config=ForestConfig(
+            n_trees=int(cfg["n_trees"]),
+            features_per_split=_optional_int(cfg["features_per_split"]),
+            bootstrap=bool(cfg["bootstrap"]),
+            tree=TreeConfig(
+                max_depth=int(cfg["tree"]["max_depth"]),
+                min_samples_leaf=int(cfg["tree"]["min_samples_leaf"]),
+                min_samples_split=_optional_int(cfg["tree"]["min_samples_split"]),
+            ),
+            seed=int(cfg["seed"]),
+        ),
     )
 
 
+def _predict_ensemble(e: EnsembleModel, x: np.ndarray) -> np.ndarray:
+    member = np.stack([predict_model(m, x) for _, m in e.members])
+    return fsum_columns(member) / len(e.members)
+
+
+def _ensemble_n_features(e: EnsembleModel) -> Optional[int]:
+    counts = (KINDS[model_kind_of(m)].n_features(m) for _, m in e.members)
+    return next((c for c in counts if c is not None), None)
+
+
+class ModelKind(NamedTuple):
+    """How one kind of fitted model is recognised, stored, read back from
+    (payload, fit_metadata, path), applied, and sized: n_features is the
+    input column count the model records, or None (trees record none)."""
+
+    model_type: type | tuple[type, ...]
+    to_payload: Callable[[Any], dict]
+    from_payload: Callable[[dict, dict, str | Path], Any]
+    predict: Callable[[Any, np.ndarray], np.ndarray]
+    n_features: Callable[[Any], Optional[int]]
+
+
+_LINEAR = ModelKind(
+    LinearModel,
+    lambda m: {
+        "coefficients": m.coefficients,
+        "intercept": m.intercept,
+        "scaler": _scaler_to_dict(m.scaler),
+        "feature_names": list(m.feature_names),
+    },
+    lambda p, metadata, path: LinearModel(
+        coefficients=np.asarray(p["coefficients"], dtype=float),
+        intercept=float(p["intercept"]),
+        scaler=_scaler_from_dict(p["scaler"]),
+        feature_names=tuple(p["feature_names"]),
+        metadata=dict(metadata),
+    ),
+    lambda m, x: predict_linear(m, x),
+    lambda m: len(m.coefficients),
+)
+
+# The one definition of the model kinds, in file-format order. Predict
+# entries look their predictor up by name when called, so wrappers installed
+# on this module's globals (perfbench's tracer) see every prediction.
+KINDS: dict[str, ModelKind] = {
+    "ols": _LINEAR,
+    "sgd": _LINEAR,
+    "cart": ModelKind(
+        (Leaf, Internal),
+        lambda t: {"tree": _tree_to_dict(t)},
+        lambda p, metadata, path: _tree_from_dict(p["tree"]),
+        lambda t, x: predict_tree_batch(t, x),
+        lambda t: None,
+    ),
+    "forest": ModelKind(
+        Forest,
+        lambda f: {"trees": [_tree_to_dict(t) for t in f.trees], "config": asdict(f.config)},
+        lambda p, metadata, path: _forest_from_payload(p),
+        lambda f, x: predict_forest_batch(f, x),
+        lambda f: None,
+    ),
+    "gbm": ModelKind(
+        GbmModel,
+        lambda m: {
+            "init_value": m.init_value,
+            "learning_rate": m.learning_rate,
+            "stages": [_tree_to_dict(t) for t in m.stages],
+        },
+        lambda p, metadata, path: GbmModel(
+            init_value=float(p["init_value"]),
+            stages=tuple(_tree_from_dict(t) for t in p["stages"]),
+            learning_rate=float(p["learning_rate"]),
+        ),
+        lambda m, x: predict_gbm_batch(m, x),
+        lambda m: None,
+    ),
+    "knn": ModelKind(
+        KnnModel,
+        lambda m: {
+            "x_train": m.x_train,
+            "y_train": m.y_train,
+            "k": m.k,
+            "scaler": _scaler_to_dict(m.scaler),
+            "feature_names": list(m.feature_names),
+        },
+        lambda p, metadata, path: KnnModel(
+            x_train=np.asarray(p["x_train"], dtype=float),
+            y_train=np.asarray(p["y_train"], dtype=float),
+            k=int(p["k"]),
+            scaler=_scaler_from_dict(p["scaler"]),
+            feature_names=tuple(p["feature_names"]),
+            metadata=dict(metadata),
+        ),
+        lambda m, x: predict_knn_batch(m, x),
+        lambda m: m.x_train.shape[1],
+    ),
+    "ensemble": ModelKind(
+        EnsembleModel,
+        lambda e: {"members": [{"name": n, "model": _to_doc(m)} for n, m in e.members]},
+        lambda p, metadata, path: EnsembleModel(
+            members=tuple(
+                (m["name"], _from_doc(m["model"], path)) for m in p["members"]
+            )
+        ),
+        _predict_ensemble,
+        _ensemble_n_features,
+    ),
+}
+
+MODEL_KINDS = tuple(KINDS)
+
+
 def model_kind_of(model: Any) -> str:
-    if isinstance(model, LinearModel):
-        return "sgd" if "config" in model.metadata else "ols"
-    if isinstance(model, (Leaf, Internal)):
-        return "cart"
-    if isinstance(model, Forest):
-        return "forest"
-    if isinstance(model, GbmModel):
-        return "gbm"
-    if isinstance(model, KnnModel):
-        return "knn"
-    if isinstance(model, EnsembleModel):
-        return "ensemble"
+    for kind, entry in KINDS.items():
+        if isinstance(model, entry.model_type):
+            if entry is _LINEAR:  # ols and sgd share a type; only SGD records a config
+                return "sgd" if "config" in model.metadata else "ols"
+            return kind
     raise InvalidConfig(f"no model kind for {type(model).__name__}")
 
 
-def _model_to_doc(model: Any, kind: str) -> dict:
-    if kind in ("ols", "sgd"):
-        payload = {
-            "coefficients": model.coefficients,
-            "intercept": model.intercept,
-            "scaler": _scaler_to_dict(model.scaler),
-            "feature_names": list(model.feature_names),
-        }
-        fit_metadata = dict(model.metadata)
-    elif kind == "cart":
-        payload = {"tree": _tree_to_dict(model)}
-        fit_metadata = {}
-    elif kind == "forest":
-        payload = {
-            "trees": [_tree_to_dict(t) for t in model.trees],
-            "config": {
-                "n_trees": model.config.n_trees,
-                "features_per_split": model.config.features_per_split,
-                "bootstrap": model.config.bootstrap,
-                "seed": model.config.seed,
-                "tree": _tree_config_to_dict(model.config.tree),
-            },
-        }
-        fit_metadata = {}
-    elif kind == "gbm":
-        payload = {
-            "init_value": model.init_value,
-            "learning_rate": model.learning_rate,
-            "stages": [_tree_to_dict(t) for t in model.stages],
-        }
-        fit_metadata = {}
-    elif kind == "knn":
-        payload = {
-            "x_train": model.x_train,
-            "y_train": model.y_train,
-            "k": model.k,
-            "scaler": _scaler_to_dict(model.scaler),
-            "feature_names": list(model.feature_names),
-        }
-        fit_metadata = dict(model.metadata)
-    elif kind == "ensemble":
-        payload = {
-            "members": [
-                {"name": name, "model": _model_to_doc(m, model_kind_of(m))}
-                for name, m in model.members
-            ]
-        }
-        fit_metadata = {}
-    else:
-        raise InvalidConfig(f"unknown model kind {kind!r}")
+def _to_doc(model: Any) -> dict:
+    kind = model_kind_of(model)
     return {
         "format_version": FORMAT_VERSION,
         "model_kind": kind,
-        "payload": payload,
-        "fit_metadata": fit_metadata,
+        "payload": KINDS[kind].to_payload(model),
+        "fit_metadata": dict(getattr(model, "metadata", {})),
     }
 
 
-def _model_from_doc(doc: dict, path: str | Path) -> Any:
+def _from_doc(doc: dict, path: str | Path) -> Any:
     kind = doc.get("model_kind")
-    if kind not in MODEL_KINDS:
+    if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind compares unequal
         raise FormatError(f"{path}: unknown model_kind {kind!r}")
     try:
-        payload = doc["payload"]
-        if kind in ("ols", "sgd"):
-            return LinearModel(
-                coefficients=np.asarray(payload["coefficients"], dtype=float),
-                intercept=float(payload["intercept"]),
-                scaler=_scaler_from_dict(payload["scaler"]),
-                feature_names=tuple(payload["feature_names"]),
-                metadata=dict(doc.get("fit_metadata", {})),
-            )
-        if kind == "cart":
-            return _tree_from_dict(payload["tree"])
-        if kind == "forest":
-            cfg = payload["config"]
-            return Forest(
-                trees=tuple(_tree_from_dict(t) for t in payload["trees"]),
-                config=ForestConfig(
-                    n_trees=int(cfg["n_trees"]),
-                    features_per_split=None
-                    if cfg["features_per_split"] is None
-                    else int(cfg["features_per_split"]),
-                    bootstrap=bool(cfg["bootstrap"]),
-                    tree=_tree_config_from_dict(cfg["tree"]),
-                    seed=int(cfg["seed"]),
-                ),
-            )
-        if kind == "gbm":
-            return GbmModel(
-                init_value=float(payload["init_value"]),
-                stages=tuple(_tree_from_dict(t) for t in payload["stages"]),
-                learning_rate=float(payload["learning_rate"]),
-            )
-        if kind == "knn":
-            return KnnModel(
-                x_train=np.asarray(payload["x_train"], dtype=float),
-                y_train=np.asarray(payload["y_train"], dtype=float),
-                k=int(payload["k"]),
-                scaler=_scaler_from_dict(payload["scaler"]),
-                feature_names=tuple(payload["feature_names"]),
-                metadata=dict(doc.get("fit_metadata", {})),
-            )
-        return EnsembleModel(
-            members=tuple(
-                (m["name"], _model_from_doc(m["model"], path))
-                for m in payload["members"]
-            )
-        )
+        return KINDS[kind].from_payload(doc["payload"], doc.get("fit_metadata", {}), path)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: corrupted {kind} payload: {exc}") from exc
 
 
-def save_model(model: Any, path: str | Path, kind: Optional[str] = None) -> None:
-    """Write a fitted model in canonical form; kind is inferred by type."""
-    kind = kind if kind is not None else model_kind_of(model)
-    if kind not in MODEL_KINDS:
-        raise InvalidConfig(f"unknown model kind {kind!r}")
-    write_json(_model_to_doc(model, kind), path)
+def save_model(model: Any, path: str | Path) -> None:
+    """Write a fitted model in canonical form; its kind follows from its type."""
+    write_json(_to_doc(model), path)
 
 
 def load_model(path: str | Path) -> Any:
     """Read a model written by save_model; validates version and payload."""
     doc = _check_version(read_json(path), path)
-    return _model_from_doc(doc, path)
+    return _from_doc(doc, path)
 
 
 def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
-    """Predict with any supported model object (dispatch by type)."""
-    if isinstance(model, LinearModel):
-        return predict_linear(model, x)
-    if isinstance(model, (Leaf, Internal)):
-        return predict_tree_batch(model, x)
-    if isinstance(model, Forest):
-        return predict_forest_batch(model, x)
-    if isinstance(model, GbmModel):
-        return predict_gbm_batch(model, x)
-    if isinstance(model, KnnModel):
-        return predict_knn_batch(model, x)
-    if isinstance(model, EnsembleModel):
-        member = np.stack([predict_model(m, x) for _, m in model.members])
-        return fsum_columns(member) / len(model.members)
-    raise InvalidConfig(f"cannot predict with {type(model).__name__}")
+    """Predict with any supported model object (dispatch by kind)."""
+    try:
+        entry = KINDS[model_kind_of(model)]
+    except InvalidConfig:
+        raise InvalidConfig(f"cannot predict with {type(model).__name__}") from None
+    return entry.predict(model, x)
 
 
 # -------------------------------------------------------------------- panel
@@ -468,6 +464,8 @@ def write_report(report: RunReport, path: str | Path) -> None:
 __all__ = [
     "FORMAT_VERSION",
     "MODEL_KINDS",
+    "KINDS",
+    "ModelKind",
     "PANEL_COLUMNS",
     "EnsembleModel",
     "canonical_json",

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import synth
-from yieldcast import persist
+from yieldcast import cli, persist
 from yieldcast.cli import main
 from yieldcast.evaluate import METRIC_NAMES
 from yieldcast.trees import Internal, Leaf
@@ -246,12 +246,25 @@ class TestPredict:
         expected = persist.predict_model(model, np.array(self.ROWS))
         assert [float(v) for v in lines[1:]] == expected.tolist()
 
-    def test_wrong_column_count(self, ols_model_path, tmp_path):
+    def test_wrong_column_count(self, ols_model_path, tmp_path, capsys):
         inp = tmp_path / "rows.csv"
         write_feature_csv(inp, self.HEADER[:2], [r[:2] for r in self.ROWS])
-        rc = main(["predict", "--model", str(ols_model_path),
-                   "--input", str(inp), "--out", str(tmp_path / "p.csv")])
-        assert rc == 2
+        # The ensemble's count comes from its first member that records one.
+        cart = Internal(feature_index=0, threshold=0.5,
+                        left=Leaf(1.0, 1), right=Leaf(2.0, 1))
+        ensemble_path = tmp_path / "ensemble.json"
+        persist.save_model(
+            persist.EnsembleModel(
+                members=(("cart", cart), ("ols", persist.load_model(ols_model_path)))
+            ),
+            ensemble_path,
+        )
+        for model_path in (ols_model_path, ensemble_path):
+            rc = main(["predict", "--model", str(model_path),
+                       "--input", str(inp), "--out", str(tmp_path / "p.csv")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert "model expects 3 feature columns, input has 2" in err
 
     def test_header_mismatch(self, ols_model_path, tmp_path):
         inp = tmp_path / "rows.csv"
@@ -267,23 +280,29 @@ class TestPredict:
                    "--input", str(inp), "--out", str(tmp_path / "p.csv")])
         assert rc == 1
 
-    def test_non_numeric_cell(self, ols_model_path, tmp_path):
+    def test_non_numeric_cell(self, ols_model_path, tmp_path, capsys):
         inp = tmp_path / "rows.csv"
-        inp.write_text("rain_mm,temp_c,pesticides_tonnes\n1.0,hot,3.0\n")
-        rc = main(["predict", "--model", str(ols_model_path),
-                   "--input", str(inp), "--out", str(tmp_path / "p.csv")])
-        assert rc == 1
+        # The second input has a blank line 2; errors name the file's own line.
+        for text, line in (("\n1.0,hot,3.0\n", 2), ("\n\n1.0,hot,3.0\n", 3)):
+            inp.write_text("rain_mm,temp_c,pesticides_tonnes" + text)
+            rc = main(["predict", "--model", str(ols_model_path),
+                       "--input", str(inp), "--out", str(tmp_path / "p.csv")])
+            assert rc == 1
+            assert f"{inp}:{line}: non-numeric cell" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell(self, ols_model_path, tmp_path, capsys, cell):
         inp = tmp_path / "rows.csv"
-        inp.write_text(f"rain_mm,temp_c,pesticides_tonnes\n1.0,2.0,3.0\n1.0,{cell},3.0\n")
         out = tmp_path / "p.csv"
-        rc = main(["predict", "--model", str(ols_model_path),
-                   "--input", str(inp), "--out", str(out)])
-        assert rc == 2
-        assert f"{inp}:3: non-finite cell" in capsys.readouterr().err
-        assert not out.exists()
+        for blank, line in (("", 3), ("\n", 4)):
+            inp.write_text(
+                f"rain_mm,temp_c,pesticides_tonnes\n1.0,2.0,3.0\n{blank}1.0,{cell},3.0\n"
+            )
+            rc = main(["predict", "--model", str(ols_model_path),
+                       "--input", str(inp), "--out", str(out)])
+            assert rc == 2
+            assert f"{inp}:{line}: non-finite cell" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_tree_feature_index_out_of_range(self, tmp_path):
         model_path = tmp_path / "cart.json"
@@ -297,6 +316,10 @@ class TestPredict:
         rc = main(["predict", "--model", str(model_path),
                    "--input", str(inp), "--out", str(tmp_path / "p.csv")])
         assert rc == 2
+
+
+def test_model_kind_names_agree():
+    assert set(persist.MODEL_KINDS) == set(cli.MODEL_ORDER) | {"ensemble"}
 
 
 class TestParser:

@@ -242,7 +242,7 @@ class TestModelRoundTrip:
         with pytest.raises(InvalidConfig):
             predict_model(object(), np.ones((2, 2)))
         with pytest.raises(InvalidConfig):
-            save_model(object(), "unused.json", kind="perceptron")
+            save_model(object(), "unused.json")
 
 
 class TestPanelRoundTrip:
