@@ -349,13 +349,19 @@ def _to_doc(model: Any) -> dict:
     }
 
 
-def _from_doc(doc: dict, path: str | Path) -> Any:
+def _from_doc(doc: Any, path: str | Path) -> Any:
+    if not isinstance(doc, dict):  # an ensemble member's model may be any JSON value
+        raise FormatError(
+            f"{path}: model document must be an object, got {type(doc).__name__}"
+        )
     kind = doc.get("model_kind")
     if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind compares unequal
         raise FormatError(f"{path}: unknown model_kind {kind!r}")
     try:
         return KINDS[kind].from_payload(doc["payload"], doc.get("fit_metadata", {}), path)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+        # InvalidConfig: a model constructor rejected the stored values,
+        # such as an ensemble with fewer than two members
         raise FormatError(f"{path}: corrupted {kind} payload: {exc}") from exc
 
 

@@ -304,6 +304,26 @@ class TestPredict:
             assert f"{inp}:{line}: non-finite cell" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_malformed_ensemble_file(self, ols_model_path, tmp_path, capsys):
+        ols = persist.load_model(ols_model_path)
+        model_path = tmp_path / "ensemble.json"
+        persist.save_model(persist.EnsembleModel(members=(("a", ols), ("b", ols))),
+                           model_path)
+        doc = persist.read_json(model_path)
+        inp = tmp_path / "rows.csv"
+        write_feature_csv(inp, self.HEADER, self.ROWS)
+        non_object = json.loads(json.dumps(doc))
+        non_object["payload"]["members"][0]["model"] = [1]
+        one_member = json.loads(json.dumps(doc))
+        del one_member["payload"]["members"][1:]
+        for bad in (non_object, one_member):
+            persist.write_json(bad, model_path)
+            rc = main(["predict", "--model", str(model_path),
+                       "--input", str(inp), "--out", str(tmp_path / "p.csv")])
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert str(model_path) in err and "Traceback" not in err
+
     def test_tree_feature_index_out_of_range(self, tmp_path):
         model_path = tmp_path / "cart.json"
         persist.save_model(

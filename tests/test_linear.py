@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from yieldcast.core import fit_scaler
+from yieldcast.core import apply_scaler, fit_scaler
 from yieldcast.errors import (
     ConstantFeature,
     Diverged,
@@ -29,6 +29,54 @@ def noiseless(seed=0, n=50, p=3):
     beta = rng.normal(scale=2.0, size=p)
     intercept = float(rng.normal())
     return x, x @ beta + intercept, beta, intercept
+
+
+def _dense_sgd_reference(x, y, cfg, passthrough=None):
+    """The straightforward dense per-sample loop fit_sgd must reproduce:
+    returns (beta, intercept, checkpoints) in standardized space."""
+    z = apply_scaler(fit_scaler(x, passthrough=passthrough), x)
+    n, p = z.shape
+    rng = np.random.default_rng(cfg.seed)
+    beta = np.zeros(p)
+    intercept = 0.0
+    checkpoints = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, cfg.epochs + 1):
+            order = rng.permutation(n) if cfg.shuffle else np.arange(n)
+            for i in order:
+                row = z[i]
+                err = row @ beta + intercept - y[i]
+                beta -= cfg.learning_rate * (2.0 * err * row + 2.0 * cfg.l2 * beta)
+                intercept -= cfg.learning_rate * 2.0 * err
+            if not (np.isfinite(beta).all() and np.isfinite(intercept)):
+                raise Diverged(epoch)
+            if epoch % 100 == 0 or epoch == cfg.epochs:
+                mse = float(np.mean((z @ beta + intercept - y) ** 2))
+                checkpoints.append((epoch, mse))
+    return beta, float(intercept), checkpoints
+
+
+def dense_design():
+    x, y, _, _ = noiseless(n=30)
+    return x, y, None
+
+
+def onehot_design(n=60, seed=4):
+    """3 numeric columns plus a 10-level one-hot block: 4 of 13 nonzeros a row."""
+    rng = np.random.default_rng(seed)
+    numeric = rng.normal(size=(n, 3)) * [400.0, 4.0, 9000.0] + [1100.0, 21.0, 30000.0]
+    level = rng.integers(0, 10, size=n)
+    onehot = np.eye(10)[level]
+    y = numeric @ [2.0, -150.0, 0.02] + 800.0 * level + rng.normal(scale=300.0, size=n)
+    return np.column_stack([numeric, onehot]), y, [False] * 3 + [True] * 10
+
+
+def zero_z_design():
+    """Column 0 is 0..40, whose mean 20 standardizes row 20 to exactly 0."""
+    rng = np.random.default_rng(11)
+    x = np.column_stack([np.arange(41.0), rng.normal(size=41)])
+    assert apply_scaler(fit_scaler(x), x)[20, 0] == 0.0
+    return x, 3.0 * x[:, 0] - x[:, 1] + 5.0, None
 
 
 class TestFitOls:
@@ -147,9 +195,12 @@ class TestFitSgd:
 
     def test_huge_learning_rate_diverges_with_epoch(self):
         x, y, _, _ = noiseless(n=40)
+        cfg = SgdConfig(learning_rate=5.0, epochs=50)
         with pytest.raises(Diverged) as excinfo:
-            fit_sgd(x, y, SgdConfig(learning_rate=5.0, epochs=50))
-        assert excinfo.value.epoch >= 1
+            fit_sgd(x, y, cfg)
+        with pytest.raises(Diverged) as expected:
+            _dense_sgd_reference(x, y, cfg)
+        assert excinfo.value.epoch == expected.value.epoch >= 1
 
     def test_onehot_columns_need_passthrough(self):
         x = np.column_stack([np.arange(10.0), np.ones(10)])
@@ -166,6 +217,37 @@ class TestFitSgd:
             SgdConfig(epochs=0)
         with pytest.raises(ValueError):
             SgdConfig(l2=-0.1)
+        # the per-step decay factor 1 - 2*learning_rate*l2 must stay positive
+        for learning_rate, l2 in ((0.1, 5.0), (0.5, 1.0), (1.0, 3.0)):
+            with pytest.raises(ValueError):
+                SgdConfig(learning_rate=learning_rate, l2=l2)
+        SgdConfig(learning_rate=0.1, l2=4.9)
+
+    @pytest.mark.parametrize(
+        "design, cfg",
+        [
+            (dense_design, SgdConfig(epochs=120, seed=3)),
+            (dense_design, SgdConfig(epochs=120, shuffle=False)),
+            (onehot_design, SgdConfig(epochs=250, seed=1)),
+            (onehot_design, SgdConfig(epochs=100, shuffle=False, learning_rate=1e-2)),
+            (zero_z_design, SgdConfig(epochs=150, seed=2)),
+            # decay 0.02 a step: the weight scale is folded back every 6 steps
+            (onehot_design, SgdConfig(epochs=100, seed=5, learning_rate=0.1, l2=4.9)),
+        ],
+        ids=["shuffled", "sequential", "onehot", "onehot-sequential", "zero-z",
+             "large-decay"],
+    )
+    def test_matches_dense_reference(self, design, cfg):
+        x, y, passthrough = design()
+        beta, intercept, checkpoints = _dense_sgd_reference(x, y, cfg, passthrough)
+        m = fit_sgd(x, y, cfg, passthrough=passthrough)
+        np.testing.assert_allclose(m.coefficients, beta, rtol=1e-9)
+        assert m.intercept == pytest.approx(intercept, rel=1e-9)
+        got = m.metadata["loss_checkpoints"]
+        assert [e for e, _ in got] == [e for e, _ in checkpoints]
+        np.testing.assert_allclose([v for _, v in got], [v for _, v in checkpoints],
+                                   rtol=1e-9)
+
 
 
 class TestPredictAndParameters:

@@ -222,6 +222,28 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("member_model", [[1], 5, None], ids=["list", "int", "null"])
+    def test_non_object_ensemble_member(self, member_model, fitted_models, tmp_path):
+        models, _ = fitted_models
+        path = tmp_path / "ensemble.json"
+        save_model(models["ensemble"], path)
+        doc = read_json(path)
+        doc["payload"]["members"][0]["model"] = member_model
+        write_json(doc, path)
+        with pytest.raises(FormatError, match="model document must be an object"):
+            load_model(path)
+
+    def test_one_member_ensemble_file(self, fitted_models, tmp_path):
+        models, _ = fitted_models
+        path = tmp_path / "ensemble.json"
+        save_model(models["ensemble"], path)
+        doc = read_json(path)
+        del doc["payload"]["members"][1:]
+        write_json(doc, path)
+        with pytest.raises(FormatError, match="at least 2 members") as excinfo:
+            load_model(path)
+        assert str(path) in str(excinfo.value)
+
     def test_ensemble_prediction_is_exact_member_mean(self, fitted_models):
         models, x = fitted_models
         ens = models["ensemble"]
