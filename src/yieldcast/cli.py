@@ -13,7 +13,7 @@ import csv
 import hashlib
 import io
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Sequence
@@ -144,26 +144,12 @@ def cmd_ingest(args) -> int:
     table, report = _merge(parsed, digests, aliases)
     out = _out_dir(args.out)
     persist.save_panel(table, out / "panel.json")
-    persist.write_json(report.to_dict(), out / "merge_report.json")
+    persist.write_json(report, out / "merge_report.json")
     print(report.summary())
     return 0
 
 
 # ----------------------------------------------------------------- explore
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    def cell(v) -> str:
-        if isinstance(v, float):
-            return format(v, ".17g")
-        return str(v)
-
-    lines = [",".join(header)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_explore(args) -> int:
@@ -184,23 +170,23 @@ def cmd_explore(args) -> int:
     explore.emit_plot_data(pest, out / "annual_pesticides.csv")
 
     freq = explore.item_frequency(parsed["yield"].records)
-    _write_csv(out / "item_frequency.csv", ["item", "count"], freq)
+    persist.write_csv(["item", "count"], freq, out / "item_frequency.csv")
 
     table, _ = _merge(parsed, digests, aliases)
     x = _panel_values(table)
     corr = explore.pearson_corr_matrix(x, PANEL_VALUES)
-    _write_csv(
-        out / "correlation_matrix.csv",
+    persist.write_csv(
         ["feature", *corr.names],
         [[name, *corr.matrix[i]] for i, name in enumerate(corr.names)],
+        out / "correlation_matrix.csv",
     )
 
     if args.vif:
         vif_values = explore.vif(x[:, : len(NUMERIC_FEATURES)], NUMERIC_FEATURES)
-        _write_csv(
-            out / "vif.csv",
+        persist.write_csv(
             ["feature", "vif"],
             [[name, vif_values[name]] for name in NUMERIC_FEATURES],
+            out / "vif.csv",
         )
 
     print(f"explored {len(table)} merged rows covering {table.year_range()}")
@@ -272,6 +258,9 @@ def _run_config(args) -> RunConfig:
         settings.update(doc)
     settings.update({k: getattr(args, k) for k in keys if getattr(args, k) is not None})
 
+    for key in ("out", "panel"):
+        if not isinstance(settings.get(key, ""), str):
+            raise InvalidConfig(f"{key} must be a path string, got {settings[key]!r}")
     settings["out"] = Path(settings.get("out", "."))
     settings["panel"] = Path(settings.get("panel", settings["out"] / "panel.json"))
     if "models" in settings:
@@ -330,9 +319,9 @@ def render_ensemble_block(result: evaluate.CvResult, k: int) -> str:
     return "\n".join(lines)
 
 
-def _kappa_entry(y_true: np.ndarray, y_pred: np.ndarray) -> dict:
+def _kappa_entry(y_true: np.ndarray, y_pred: np.ndarray) -> evaluate.KappaResult | dict:
     try:
-        return evaluate.cohen_kappa(y_true, y_pred).to_dict()
+        return evaluate.cohen_kappa(y_true, y_pred)
     except (UndefinedKappa, InsufficientRows) as exc:
         return {"undefined": str(exc)}
 
@@ -357,13 +346,11 @@ def cmd_cv(args) -> int:
     fitted: dict[str, Any] = {spec.name: spec.fit(train.x, train.y) for spec in specs}
     if len(specs) >= 2:
         fitted["ensemble"] = persist.EnsembleModel(members=tuple(fitted.items()))
-    holdout_metrics: dict[str, dict] = {}
-    kappa: dict[str, dict] = {}
+    holdout_metrics: dict[str, evaluate.MetricsReport] = {}
+    kappa: dict[str, Any] = {}
     for name, model in fitted.items():
         yhat = persist.predict_model(model, test.x)
-        holdout_metrics[name] = evaluate.metrics_bundle(
-            test.y, yhat, strict=False
-        ).to_dict()
+        holdout_metrics[name] = evaluate.metrics_bundle(test.y, yhat)
         kappa[name] = _kappa_entry(test.y, yhat)
 
     eda: dict[str, Any] = {
@@ -375,36 +362,35 @@ def cmd_cv(args) -> int:
         "year_range": list(table.year_range()),
     }
     try:
-        corr = explore.pearson_corr_matrix(_panel_values(table), PANEL_VALUES)
-        eda["correlation"] = {"names": list(corr.names), "matrix": corr.matrix}
+        eda["correlation"] = explore.pearson_corr_matrix(_panel_values(table), PANEL_VALUES)
     except YieldcastError as exc:
         eda["correlation"] = {"undefined": str(exc)}
 
     table_text = render_cv_table(
         per_model + ([ensemble_result] if ensemble_result else [])
     )
-    report = persist.RunReport(
-        environment={
+    report = {
+        "environment": {
             "k": cfg.k,
             "seed": cfg.seed,
             "models": list(cfg.models),
             "test_fraction": cfg.test_fraction,
-            "feature_config": asdict(feature_cfg),
+            "feature_config": feature_cfg,
             "knn_k": KNN_K,
         },
-        merge_report=table.provenance.get("merge", {}),
-        eda=eda,
-        per_model=tuple(per_model),
-        ensemble=ensemble_result,
-        kappa=kappa,
-        holdout={
+        "merge_report": table.provenance.get("merge", {}),
+        "eda": eda,
+        "per_model": per_model,
+        "ensemble": ensemble_result,
+        "kappa": kappa,
+        "holdout": {
             "test_fraction": cfg.test_fraction,
             "n_train": train.n,
             "n_test": test.n,
             "metrics": holdout_metrics,
         },
-        table=table_text,
-    )
+        "table": table_text,
+    }
 
     out = _out_dir(cfg.out)
     persist.write_report(report, out / "report.json")
@@ -427,7 +413,10 @@ def cmd_cv(args) -> int:
 
 
 def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    text = _read_bytes(path).decode("utf-8")
+    try:
+        text = ingest._decode(_read_bytes(path))
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
     rows = [(i, row) for i, row in enumerate(csv.reader(io.StringIO(text)), 1) if row]
     if not rows:
         raise FormatError(f"{path}: empty input")
@@ -468,11 +457,7 @@ def cmd_predict(args) -> int:
     except IndexError as exc:
         raise ShapeError(f"input has too few columns for this model: {exc}") from exc
 
-    lines = ["prediction"] + [format(float(v), ".17g") for v in preds]
-    try:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise IoError(f"cannot write {args.out}: {exc}") from exc
+    persist.write_csv(["prediction"], [[float(v)] for v in preds], args.out)
     print(f"wrote {len(preds)} predictions")
     return 0
 

@@ -129,42 +129,27 @@ class MetricsReport:
         if self.mape_excluded_rows < 0:
             raise InvalidData("mape_excluded_rows cannot be negative")
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "r2": self.r2,
-            "mae": self.mae,
-            "mse": self.mse,
-            "rmse": self.rmse,
-            "max_err": self.max_err,
-            "mape_percent": self.mape_percent,
-            "mape_excluded_rows": self.mape_excluded_rows,
-        }
 
-
-def metrics_bundle(y: np.ndarray, yhat: np.ndarray, strict: bool = True) -> MetricsReport:
-    """All six metrics at once.
-
-    strict=True raises on undefined r2/mape; strict=False records them as
-    None so degenerate folds can still be reported.
+def metrics_bundle(y: np.ndarray, yhat: np.ndarray) -> MetricsReport:
+    """All six metrics at once; an undefined r2 or mape is recorded as None,
+    so degenerate folds can still be reported.
     """
     y, yhat = _check_pair(y, yhat)
     mse_v = mse(y, yhat)
     mape_v, excluded = _mape_parts(y, yhat)
-    if strict and mape_v is None:
-        raise UndefinedMape("every row has |y| below the MAPE floor")
     r2_v: Optional[float]
     try:
         r2_v = r2(y, yhat)
     except UndefinedR2:
-        if strict:
-            raise
         r2_v = None
+    max_v = max_error(y, yhat)
     return MetricsReport(
         r2=r2_v,
-        mae=mae(y, yhat),
+        # the mean of equal errors can round one ulp above their maximum
+        mae=min(mae(y, yhat), max_v),
         mse=mse_v,
         rmse=math.sqrt(mse_v),
-        max_err=max_error(y, yhat),
+        max_err=max_v,
         mape_percent=mape_v,
         mape_excluded_rows=excluded,
     )
@@ -235,22 +220,12 @@ class MetricSummary:
     std: Optional[float]  # sample std (ddof=1); None with < 2 defined folds
     n_defined: int
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"mean": self.mean, "std": self.std, "n_defined": self.n_defined}
-
 
 @dataclass(frozen=True)
 class CvResult:
     model_label: str
     per_fold: tuple[MetricsReport, ...]
     summary: dict[str, MetricSummary] = field(default_factory=dict)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "model_label": self.model_label,
-            "per_fold": [m.to_dict() for m in self.per_fold],
-            "summary": {k: v.to_dict() for k, v in self.summary.items()},
-        }
 
 
 def summarize_folds(per_fold: Sequence[MetricsReport]) -> dict[str, MetricSummary]:
@@ -300,7 +275,7 @@ def _fold_predictions(
 def _scored(
     label: str, m: FeatureMatrix, folds: Sequence[tuple[np.ndarray, np.ndarray]]
 ) -> CvResult:
-    per_fold = [metrics_bundle(m.y[test], yhat, strict=False) for test, yhat in folds]
+    per_fold = [metrics_bundle(m.y[test], yhat) for test, yhat in folds]
     return CvResult(
         model_label=label,
         per_fold=tuple(per_fold),
@@ -361,9 +336,6 @@ class KappaResult:
     def __post_init__(self):
         if not -1.0 <= self.kappa <= 1.0:
             raise InvalidData(f"kappa must lie in [-1, 1], got {self.kappa}")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"kappa": self.kappa, "band": self.band, "bin_edges": list(self.bin_edges)}
 
 
 def kappa_band(kappa: float) -> str:

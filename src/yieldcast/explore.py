@@ -17,6 +17,7 @@ import numpy as np
 from .core import FaoRecord
 from .errors import ConstantFeature, EmptyInput, InvalidData, ShapeError
 from .linear import fit_ols, predict_linear
+from .persist import write_csv
 
 
 @dataclass(frozen=True)
@@ -124,10 +125,7 @@ def vif(x: np.ndarray, names: Sequence[str]) -> dict[str, float]:
 
 def emit_plot_data(series: AnnualSeries, path: str | Path) -> None:
     """Write a two-column CSV (year, value) with full-precision floats."""
-    lines = [f"year,{series.label}"]
-    for year, value in zip(series.years, series.values):
-        lines.append(f"{year},{format(value, '.17g')}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(["year", series.label], zip(series.years, series.values), path)
 
 
 __all__ = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Iterable, Optional
 
@@ -229,21 +229,6 @@ class MergeReport:
     year_range: Optional[tuple[int, int]] = None
     country_count: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "rows_in": dict(self.rows_in),
-            "rows_out": self.rows_out,
-            "unmatched_areas": list(self.unmatched_areas),
-            "unmatched_yield_rows": self.unmatched_yield_rows,
-            "unmatched_pesticide_rows": self.unmatched_pesticide_rows,
-            "dropped_for_missing": dict(self.dropped_for_missing),
-            "duplicate_rows": dict(self.duplicate_rows),
-            "ignored_pesticide_items": self.ignored_pesticide_items,
-            "ignored_yield_units": self.ignored_yield_units,
-            "year_range": list(self.year_range) if self.year_range else None,
-            "country_count": self.country_count,
-        }
-
     def summary(self) -> str:
         lines = [
             f"rows in: " + ", ".join(f"{k}={v}" for k, v in sorted(self.rows_in.items())),
@@ -370,7 +355,8 @@ def merge_panel(
     report.year_range = (min(years), max(years))
     report.country_count = len({r.iso3 for r in ordered})
 
-    provenance = {"merge": report.to_dict()}
+    # JSON-shaped, so the provenance of a panel read back from disk compares equal
+    provenance = {"merge": dict(asdict(report), year_range=list(report.year_range))}
     if source_digests:
         provenance["source_digests"] = dict(source_digests)
     return PanelTable(rows=ordered, provenance=provenance), report

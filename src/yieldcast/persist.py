@@ -1,4 +1,5 @@
-"""Deterministic JSON persistence for panels, fitted models, and run reports.
+"""Deterministic JSON and CSV persistence for panels, fitted models, reports
+and tables.
 
 Canonical form: sorted keys, two-space indentation, ASCII-escaped strings,
 floats at 17 significant digits (exact float64 round-trip, with a ".0"
@@ -6,21 +7,22 @@ suffix where %g would print an integer), files ending in a single newline.
 Saving what load_model returns reproduces the file byte for byte, and a
 reloaded model predicts bit-identically to the original. Non-finite floats
 serialize as the strings "NaN"/"Infinity"/"-Infinity"; model payloads never
-contain them.
+contain them. A dataclass instance serializes as an object of its fields, so
+write-only documents (merge and run reports) need no hand-written layout;
+model payloads keep explicit layouts because load_model reads them back.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import PanelRow, PanelTable, Scaler, fsum_columns
 from .errors import FormatError, InvalidConfig, IoError, UnsupportedVersion
-from .evaluate import CvResult, KappaResult
 from .knn import KnnModel, predict_knn_batch
 from .linear import LinearModel, predict_linear
 from .trees import (
@@ -112,6 +114,8 @@ def _emit(obj: Any, depth: int, parts: list[str]) -> None:
             _emit(item, depth + 1, parts)
             parts.append(",\n" if i < len(items) - 1 else "\n")
         parts.append(pad + "]")
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        _emit({f.name: getattr(obj, f.name) for f in fields(obj)}, depth, parts)
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
 
@@ -134,11 +138,24 @@ def write_json(obj: Any, path: str | Path) -> None:
     _write_text(path, canonical_json(obj) + "\n")
 
 
+def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path) -> None:
+    """A header line, then one line per row; floats at 17 significant digits."""
+
+    def cell(v) -> str:
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    lines = [",".join(header)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
+
+
 def read_json(path: str | Path) -> Any:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -155,10 +172,6 @@ def _check_version(doc: Any, path: str | Path) -> dict:
 
 
 # ------------------------------------------------------------------- models
-
-
-def _scaler_to_dict(s: Optional[Scaler]) -> Optional[dict]:
-    return None if s is None else asdict(s)
 
 
 def _scaler_from_dict(d: Optional[dict]) -> Optional[Scaler]:
@@ -245,7 +258,7 @@ _LINEAR = ModelKind(
     lambda m: {
         "coefficients": m.coefficients,
         "intercept": m.intercept,
-        "scaler": _scaler_to_dict(m.scaler),
+        "scaler": m.scaler,
         "feature_names": list(m.feature_names),
     },
     lambda p, metadata, path: LinearModel(
@@ -274,7 +287,7 @@ KINDS: dict[str, ModelKind] = {
     ),
     "forest": ModelKind(
         Forest,
-        lambda f: {"trees": [_tree_to_dict(t) for t in f.trees], "config": asdict(f.config)},
+        lambda f: {"trees": [_tree_to_dict(t) for t in f.trees], "config": f.config},
         lambda p, metadata, path: _forest_from_payload(p),
         lambda f, x: predict_forest_batch(f, x),
         lambda f: None,
@@ -300,7 +313,7 @@ KINDS: dict[str, ModelKind] = {
             "x_train": m.x_train,
             "y_train": m.y_train,
             "k": m.k,
-            "scaler": _scaler_to_dict(m.scaler),
+            "scaler": m.scaler,
             "feature_names": list(m.feature_names),
         },
         lambda p, metadata, path: KnnModel(
@@ -408,6 +421,9 @@ def load_panel(path: str | Path) -> PanelTable:
         raise FormatError(f"{path}: not a panel file")
     if doc.get("columns") != list(PANEL_COLUMNS):
         raise FormatError(f"{path}: unexpected panel columns {doc.get('columns')!r}")
+    provenance = doc.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise FormatError(f"{path}: provenance must be an object")
     try:
         rows = tuple(
             PanelRow(
@@ -422,7 +438,7 @@ def load_panel(path: str | Path) -> PanelTable:
             )
             for v in doc["rows"]
         )
-        return PanelTable(rows=rows, provenance=doc.get("provenance", {}))
+        return PanelTable(rows=rows, provenance=provenance)
     except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: corrupted panel payload: {exc}") from exc
 
@@ -430,41 +446,9 @@ def load_panel(path: str | Path) -> PanelTable:
 # ------------------------------------------------------------------- report
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Everything a cross-validation run produced, reproducible from the
-    environment section (inputs, seeds, configs) it records."""
-
-    environment: dict
-    merge_report: dict
-    eda: dict
-    per_model: tuple[CvResult, ...]
-    ensemble: Optional[CvResult]
-    kappa: dict[str, Any]  # KappaResult, or {"undefined": reason}
-    holdout: dict
-    table: str
-
-    def to_dict(self) -> dict:
-        kappa = {
-            k: v.to_dict() if isinstance(v, KappaResult) else v
-            for k, v in self.kappa.items()
-        }
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "run_report",
-            "environment": self.environment,
-            "merge_report": self.merge_report,
-            "eda": self.eda,
-            "per_model": [r.to_dict() for r in self.per_model],
-            "ensemble": None if self.ensemble is None else self.ensemble.to_dict(),
-            "kappa": kappa,
-            "holdout": self.holdout,
-            "table": self.table,
-        }
-
-
-def write_report(report: RunReport, path: str | Path) -> None:
-    write_json(report.to_dict(), path)
+def write_report(report: dict, path: str | Path) -> None:
+    """Write the sections of a cross-validation run as a run_report document."""
+    write_json({"format_version": FORMAT_VERSION, "kind": "run_report", **report}, path)
 
 
 __all__ = [
@@ -476,6 +460,7 @@ __all__ = [
     "EnsembleModel",
     "canonical_json",
     "write_json",
+    "write_csv",
     "read_json",
     "model_kind_of",
     "save_model",
@@ -483,6 +468,5 @@ __all__ = [
     "predict_model",
     "save_panel",
     "load_panel",
-    "RunReport",
     "write_report",
 ]

@@ -373,7 +373,7 @@ def test_criterion_09_cv_fold_integrity():
         spec = ModelSpec("ols", fit=fit_ols, predict=predict_model)
         first = cross_validate(spec, m, make_folds(60, k=5, seed=3))
         second = cross_validate(spec, m, make_folds(60, k=5, seed=3))
-        assert first.to_dict() == second.to_dict()
+        assert first == second
 
 
 def test_criterion_10_ensemble_averaging_identity(small_matrix):
@@ -391,15 +391,13 @@ def test_criterion_10_ensemble_averaging_identity(small_matrix):
             ) / len(specs)
             np.testing.assert_array_equal(entry["ensemble"], recomputed)
             expected = metrics_bundle(m.y[entry["test_indices"]],
-                                      entry["ensemble"], strict=False)
+                                      entry["ensemble"])
             assert result.per_fold[fold] == expected
 
         cart_specs = model_specs(("cart",), m.onehot, m.feature_names, 0)
         _, doubled = ensemble_cv([cart_specs[0], cart_specs[0]], m, plan)
         single = cross_validate(cart_specs[0], m, plan)
-        assert [r.to_dict() for r in doubled.per_fold] == [
-            r.to_dict() for r in single.per_fold
-        ]
+        assert doubled.per_fold == single.per_fold
 
 
 def test_criterion_11_kappa_agreement():

@@ -161,7 +161,7 @@ class TestCv:
         env = persist.read_json(tmp_path / "report.json")["environment"]
         assert env["k"] == 3 and env["seed"] == 9 and env["models"] == ["ols"]
 
-    def test_config_file_errors(self, panel_dir, tmp_path):
+    def test_config_file_errors(self, panel_dir, tmp_path, capsys):
         base = ["cv", "--panel", str(panel_dir / "panel.json"), "--out", str(tmp_path)]
         unknown = tmp_path / "unknown.json"
         unknown.write_text(json.dumps({"folds": 4}))
@@ -170,6 +170,12 @@ class TestCv:
         nondict.write_text("[1, 2]")
         assert main([*base, "--config", str(nondict)]) == 2
         assert main([*base, "--config", str(tmp_path / "absent.json")]) == 1
+        capsys.readouterr()
+        for key, value in (("panel", 5), ("out", None)):
+            paths = tmp_path / "paths.json"
+            paths.write_text(json.dumps({key: value}))
+            assert main(["cv", "--config", str(paths)]) == 2
+            assert f"error: {key} must be a path string" in capsys.readouterr().err
 
     def test_item_encoding_toggle(self, panel_dir, tmp_path):
         rc = main(["cv", "--panel", str(panel_dir / "panel.json"),
@@ -323,6 +329,30 @@ class TestPredict:
             assert rc == 1
             err = capsys.readouterr().err
             assert str(model_path) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("bad", ["input", "model"])
+    def test_undecodable_byte(self, ols_model_path, tmp_path, capsys, bad):
+        paths = {"input": tmp_path / "rows.csv", "model": tmp_path / "ols.json"}
+        write_feature_csv(paths["input"], self.HEADER, self.ROWS)
+        paths["model"].write_bytes(ols_model_path.read_bytes())
+        paths[bad].write_bytes(paths[bad].read_bytes().replace(b"rain_mm", b"rain\xffmm"))
+        rc = main(["predict", "--model", str(paths["model"]),
+                   "--input", str(paths["input"]), "--out", str(tmp_path / "p.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(paths[bad]) in err
+        assert "Traceback" not in err
+
+    def test_byte_order_mark_input(self, ols_model_path, tmp_path):
+        plain = tmp_path / "plain.csv"
+        write_feature_csv(plain, self.HEADER, self.ROWS)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for inp in (plain, bom):
+            rc = main(["predict", "--model", str(ols_model_path),
+                       "--input", str(inp), "--out", str(tmp_path / f"{inp.stem}.out")])
+            assert rc == 0
+        assert (tmp_path / "bom.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
 
     def test_tree_feature_index_out_of_range(self, tmp_path):
         model_path = tmp_path / "cart.json"

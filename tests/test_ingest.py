@@ -1,6 +1,8 @@
 """CSV parsing, country-name normalization, and the four-way panel merge."""
 from __future__ import annotations
 
+import json
+
 import pytest
 
 import synth
@@ -15,6 +17,7 @@ from yieldcast.ingest import (
     parse_cckp_csv,
     parse_fao_csv,
 )
+from yieldcast.persist import canonical_json
 
 ALIASES = CountryAliasMap.from_csv(
     "source_name,iso3\n"
@@ -189,7 +192,7 @@ class TestMergePanel:
 
     def test_report_round_trips_to_dict_and_summary(self):
         _, report = merge_panel(*self.make_inputs(), ALIASES)
-        d = report.to_dict()
+        d = json.loads(canonical_json(report))
         assert d["rows_out"] == 2 and d["year_range"] == [2000, 2001]
         text = report.summary()
         assert "rows out: 2" in text and "Narnia" in text

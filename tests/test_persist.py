@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import synth
+from yieldcast.cli import main
 from yieldcast.errors import (
     FormatError,
     InvalidConfig,
@@ -16,6 +19,7 @@ from yieldcast.errors import (
     UnsupportedVersion,
 )
 from yieldcast.evaluate import (
+    METRIC_NAMES,
     KappaResult,
     ModelSpec,
     cross_validate,
@@ -25,7 +29,6 @@ from yieldcast.knn import fit_knn
 from yieldcast.linear import SgdConfig, fit_ols, fit_sgd
 from yieldcast.persist import (
     EnsembleModel,
-    RunReport,
     canonical_json,
     load_model,
     load_panel,
@@ -34,6 +37,7 @@ from yieldcast.persist import (
     read_json,
     save_model,
     save_panel,
+    write_csv,
     write_json,
     write_report,
 )
@@ -86,6 +90,24 @@ class TestCanonicalForm:
         with pytest.raises(FormatError):
             canonical_json({"a": {2, 3}})
 
+    def test_dataclass_instances_emit_their_fields(self):
+        @dataclass(frozen=True)
+        class Inner:
+            edges: tuple
+
+        @dataclass
+        class Outer:
+            name: str
+            inner: Inner
+            values: np.ndarray
+
+        outer = Outer(name="x", inner=Inner(edges=(1.0, 2)), values=np.array([0.5]))
+        assert canonical_json(outer) == canonical_json(
+            {"name": "x", "inner": {"edges": [1.0, 2]}, "values": [0.5]}
+        )
+        with pytest.raises(FormatError):
+            canonical_json(Outer)  # the class itself is not a document
+
     @given(st.floats(allow_nan=False, allow_infinity=False))
     @example(5e-324)
     @example(9007199254740992.0)
@@ -117,6 +139,19 @@ class TestReadWrite:
         path.write_text("{not json")
         with pytest.raises(FormatError):
             read_json(path)
+        path.write_bytes(b'{"a": "\xff"}')
+        with pytest.raises(FormatError, match="broken.json"):
+            read_json(path)
+
+    def test_csv_cells_and_line_ends(self, tmp_path):
+        path = tmp_path / "table.csv"
+        rows = [["a", 3, 0.1], [np.str_("b"), np.int64(4), np.float64(2.0)]]
+        write_csv(["name", "n", "x"], rows, path)
+        assert path.read_bytes() == b"name,n,x\na,3,0.10000000000000001\nb,4,2\n"
+        write_csv(["prediction"], [], path)
+        assert path.read_bytes() == b"prediction\n"
+        with pytest.raises(IoError):
+            write_csv(["a"], [[1]], tmp_path)
 
 
 @pytest.fixture(scope="module")
@@ -307,6 +342,11 @@ class TestPanelRoundTrip:
         with pytest.raises(FormatError):
             load_panel(path)
 
+        bad = dict(doc, provenance=[])
+        write_json(bad, path)
+        with pytest.raises(FormatError, match="provenance"):
+            load_panel(path)
+
 
 class TestRunReport:
     def test_report_serializes_mixed_kappa(self, tmp_path):
@@ -324,20 +364,20 @@ class TestRunReport:
                          fit=lambda x, y: float(np.mean(y)),
                          predict=lambda mod, x: np.full(len(x), mod))
         cv = cross_validate(spec, m, make_folds(20, k=2))
-        report = RunReport(
-            environment={"seed": 0, "k": 2},
-            merge_report={"rows_out": 20},
-            eda={"items": []},
-            per_model=(cv,),
-            ensemble=None,
-            kappa={
+        report = {
+            "environment": {"seed": 0, "k": 2},
+            "merge_report": {"rows_out": 20},
+            "eda": {"items": []},
+            "per_model": [cv],
+            "ensemble": None,
+            "kappa": {
                 "mean": KappaResult(kappa=0.5, band="moderate agreement",
                                     bin_edges=(1.0,)),
                 "broken": {"undefined": "all rows fall in a single bin"},
             },
-            holdout={},
-            table="header\nrow",
-        )
+            "holdout": {},
+            "table": "header\nrow",
+        }
         path = tmp_path / "report.json"
         write_report(report, path)
         doc = read_json(path)
@@ -349,3 +389,44 @@ class TestRunReport:
         assert doc["kappa"]["broken"] == {"undefined": "all rows fall in a single bin"}
         assert doc["per_model"][0]["model_label"] == "mean"
         assert doc["ensemble"] is None
+
+
+FOLD_KEYS = {"r2", "mae", "mse", "rmse", "max_err", "mape_percent", "mape_excluded_rows"}
+MERGE_KEYS = {
+    "rows_in", "rows_out", "unmatched_areas", "unmatched_yield_rows",
+    "unmatched_pesticide_rows", "dropped_for_missing", "duplicate_rows",
+    "ignored_pesticide_items", "ignored_yield_units", "year_range", "country_count",
+}
+
+
+def test_written_document_layouts(tmp_path):
+    """Report sections are written from dataclass fields: pin their key sets."""
+    paths = synth.small_snapshot(tmp_path / "snap")
+    inputs = [arg for k in ("rain", "temp", "pesticides", "yield")
+              for arg in (f"--{k}", str(paths[k]))]
+    assert main(["ingest", *inputs, "--out", str(tmp_path)]) == 0
+    assert set(read_json(tmp_path / "merge_report.json")) == MERGE_KEYS
+    assert main(["cv", "--out", str(tmp_path), "--models", "ols,cart", "--k", "2"]) == 0
+
+    doc = read_json(tmp_path / "report.json")
+    assert set(doc) == {
+        "format_version", "kind", "environment", "merge_report", "eda",
+        "per_model", "ensemble", "kappa", "holdout", "table",
+    }
+    assert set(doc["merge_report"]) == MERGE_KEYS
+    for result in [*doc["per_model"], doc["ensemble"]]:
+        assert set(result) == {"model_label", "per_fold", "summary"}
+        for fold in result["per_fold"]:
+            assert set(fold) == FOLD_KEYS
+        assert set(result["summary"]) == set(METRIC_NAMES)
+        for entry in result["summary"].values():
+            assert set(entry) == {"mean", "std", "n_defined"}
+    assert set(doc["kappa"]) == set(doc["holdout"]["metrics"]) == {"ols", "cart", "ensemble"}
+    for entry in doc["kappa"].values():
+        assert set(entry) == {"kappa", "band", "bin_edges"}
+    for entry in doc["holdout"]["metrics"].values():
+        assert set(entry) == FOLD_KEYS
+    assert set(doc["environment"]["feature_config"]) == {
+        "use_rain", "use_temp", "use_pesticides", "encode_item", "encode_country",
+    }
+    assert set(doc["eda"]["correlation"]) == {"names", "matrix"}
