@@ -160,6 +160,8 @@ def read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise FormatError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def _check_version(doc: Any, path: str | Path) -> dict:

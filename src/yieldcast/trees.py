@@ -3,22 +3,40 @@
 Splits minimize child SSE (equivalently, maximize variance reduction) over
 midpoint thresholds. Tie-breaking is fixed — smallest threshold within a
 feature, lowest feature index across features — so fits are deterministic
-and reproducible across platforms. Per-tree RNG streams in the forest are
-pre-derived from the config seed, which makes parallel fitting equivalent to
-sequential by construction.
+and reproducible across platforms.
+
+`fit_cart` and each `fit_gbm` stage grow one tree recursively, one
+`best_split` call per node and feature: with one tree at a time there is
+nothing for level batching to share. `fit_forest` grows all of its trees
+together, one depth level at a time, over exact bins: each feature's sorted
+distinct training values. Each tree has its own RNG stream, pre-derived from
+the config seed. The stream's first draw is the bootstrap sample, which
+becomes integer row weights, so `min_samples_leaf` and the split threshold
+count weights as duplicated rows would. Each node then draws its own
+feature subset from that stream, in level order (left to right within a
+depth, depth by depth). A split between two adjacent nonempty bins of a node
+is exactly a midpoint candidate of `best_split`, so each node splits as
+`_grow` would on the tree's bootstrap sample given the node's subset. Where
+float noise rather than the data decides a node — top candidates within a
+relative 1e-9 of each other, or a best gain of at most 1e-9 of the node's
+SSE — the node defers to `best_split` on its rows, repeated by weight in
+draw order.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .core import fsum_columns
 from .errors import InvalidData
 
-FeatureSampler = Callable[[], Sequence[int]]
+# (tree, row) entries one forest block grows together; bounds per-level working memory
+_BLOCK_ENTRIES = 1 << 16
+# relative gain band inside which float noise, not the data, ranks candidates
+_NEAR = 1e-9
 
 
 @dataclass(frozen=True)
@@ -145,62 +163,51 @@ def best_split(
     return float(threshold), float(reduction[best])
 
 
-def _grow(
-    x: np.ndarray,
-    y: np.ndarray,
-    idx: np.ndarray,
-    depth: int,
-    cfg: TreeConfig,
-    feature_sampler: Optional[FeatureSampler],
-) -> TreeNode:
+def _choose_split(
+    x: np.ndarray, idx: np.ndarray, node_y: np.ndarray, features, min_samples_leaf: int
+) -> Optional[tuple[int, float]]:
+    """Best (feature, threshold) on rows `idx` over increasing `features`, or None.
+
+    An equal reduction keeps the earlier, lower feature index.
+    """
+    best: Optional[tuple[float, int, float]] = None  # (reduction, feature, threshold)
+    for f in features:
+        found = best_split(x[idx, f], node_y, min_samples_leaf)
+        if found is not None and (best is None or found[1] > best[0]):
+            best = (found[1], f, found[0])
+    return None if best is None else best[1:]
+
+
+def _grow(x: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, cfg: TreeConfig) -> TreeNode:
     node_y = y[idx]
     n = len(idx)
     if depth >= cfg.max_depth or n < cfg.split_threshold:
         return Leaf(value=float(node_y.mean()), n_samples=n)
-
-    features = range(x.shape[1]) if feature_sampler is None else feature_sampler()
-    best: Optional[tuple[float, int, float]] = None  # (reduction, feature, threshold)
-    for f in features:
-        found = best_split(x[idx, f], node_y, cfg.min_samples_leaf)
-        if found is None:
-            continue
-        threshold, reduction = found
-        if (
-            best is None
-            or reduction > best[0]
-            or (reduction == best[0] and f < best[1])
-        ):
-            best = (reduction, f, threshold)
+    best = _choose_split(x, idx, node_y, range(x.shape[1]), cfg.min_samples_leaf)
     if best is None:
         return Leaf(value=float(node_y.mean()), n_samples=n)
 
-    _, f, threshold = best
+    f, threshold = best
     go_left = x[idx, f] <= threshold
-    left = _grow(x, y, idx[go_left], depth + 1, cfg, feature_sampler)
-    right = _grow(x, y, idx[~go_left], depth + 1, cfg, feature_sampler)
+    left = _grow(x, y, idx[go_left], depth + 1, cfg)
+    right = _grow(x, y, idx[~go_left], depth + 1, cfg)
     return Internal(feature_index=f, threshold=threshold, left=left, right=right)
 
 
-def fit_cart(
-    x: np.ndarray,
-    y: np.ndarray,
-    cfg: TreeConfig = TreeConfig(),
-    feature_sampler: Optional[FeatureSampler] = None,
-) -> TreeNode:
-    """Greedy recursive partitioning down to max_depth / min-sample limits.
-
-    `feature_sampler`, when given, is called once per split attempt and
-    returns the candidate feature indices for that node (all features
-    otherwise). Traversal is preorder, left child first, so sampler draws
-    are reproducible.
-    """
+def _training_arrays(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or len(y) != x.shape[0] or len(y) == 0:
+    if x.ndim != 2 or len(y) != x.shape[0] or len(y) < min_rows:
         raise InvalidData(f"bad training shapes x={x.shape}, y={y.shape}")
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise InvalidData("non-finite values in tree input")
-    return _grow(x, y, np.arange(len(y)), 0, cfg, feature_sampler)
+    return x, y
+
+
+def fit_cart(x: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> TreeNode:
+    """Greedy recursive partitioning down to max_depth / min-sample limits."""
+    x, y = _training_arrays(x, y, 1)
+    return _grow(x, y, np.arange(len(y)), 0, cfg)
 
 
 def predict_tree(t: TreeNode, x_row: Sequence[float]) -> float:
@@ -231,24 +238,279 @@ def _tree_rngs(seed: int, count: int) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenation of arange(s, s + l) over the (start, length) pairs, as int32."""
+    ends = np.cumsum(lengths)
+    offsets = (starts - (ends - lengths)).astype(np.int32)
+    return np.arange(ends[-1], dtype=np.int32) + np.repeat(offsets, lengths)
+
+
+def _score_feature(
+    bins: tuple[np.ndarray, np.ndarray],
+    order: np.ndarray,
+    rows: np.ndarray,
+    weight: np.ndarray,
+    centred: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    total: np.ndarray,
+    min_samples_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best and runner-up gain, and the best threshold, of one feature per node.
+
+    The nodes are position ranges (`starts`, `counts`) of `order`, a level's
+    node-grouped list of entries; `rows`, `weight` and `centred` (weighted
+    deviation from the node mean) are indexed by entry, and `total` is each
+    node's weight. Sorting each node's entries by bin makes every boundary
+    between adjacent nonempty bins a candidate, scored from segmented
+    cumulative sums as L^2 * n / (n_l * n_r), L being the centred left sum:
+    `best_split`'s SSE reduction, summed in another order.
+    """
+    values, codes = bins
+    ent = order[_ranges(starts, counts)]
+    node = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+    code = codes[rows[ent]]
+    by_bin = np.argsort(node.astype(np.int64) * len(values) + code, kind="stable")
+    ent, code = ent[by_bin], code[by_bin]
+    del by_bin
+
+    first = np.cumsum(counts) - counts
+    w = weight[ent]
+    left_w = np.cumsum(w)
+    left_w -= np.repeat(left_w[first] - w[first], counts)
+    del w
+    c = centred[ent]
+    del ent
+    left_c = np.cumsum(c)
+    left_c -= np.repeat(left_c[first] - c[first], counts)
+    del c
+    node_w = np.repeat(total, counts)
+    right_w = node_w - left_w
+    legal = (left_w >= min_samples_leaf) & (right_w >= min_samples_leaf)
+    legal[:-1] &= code[1:] != code[:-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        left_c *= left_c
+        left_c *= node_w
+        left_w *= right_w
+        gain = np.where(legal, left_c / left_w, -np.inf)
+    del left_c, left_w, node_w, right_w, legal
+
+    top = np.maximum.reduceat(gain, first)
+    hit = np.flatnonzero(gain == top[node])
+    at = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]  # first max = smallest threshold
+    gain[at] = -np.inf
+    runner_up = np.maximum.reduceat(gain, first)
+    threshold = (values[code[at]] + values[code[np.minimum(at + 1, len(code) - 1)]]) / 2.0
+    return top, runner_up, threshold
+
+
+class _Block:
+    """Trees grown together, one depth level at a time.
+
+    An entry is a (tree, row) pair of positive weight; a tree's entries are
+    its rows in row order. Each level keeps the entries of its nodes
+    ("slots") grouped by slot, slots in tree order and left to right, so the
+    children of a level's split slots are the next level's slots in order.
+    """
+
+    def __init__(self, x, y, bins, members, m: int, cfg: TreeConfig):
+        self.x, self.y, self.bins, self.m, self.cfg = x, y, bins, m, cfg
+        self.rngs = [rng for rng, _ in members]
+        self.draws = [draw for _, draw in members]
+        n = x.shape[0]
+        weights = [np.bincount(draw, minlength=n) for draw in self.draws]
+        self.sizes = np.array([np.count_nonzero(w) for w in weights])
+        self.e_row = np.concatenate([np.flatnonzero(w) for w in weights]).astype(np.int32)
+        self.e_w = np.concatenate([w[w > 0] for w in weights]).astype(np.int32)
+        self.e_centred = np.empty(len(self.e_row))
+        self.base = np.cumsum(self.sizes) - self.sizes
+
+    def _draw_entries(self, t: int) -> np.ndarray:
+        """Entry of each of tree t's draw positions."""
+        present = np.bincount(self.draws[t], minlength=self.x.shape[0]) > 0
+        return self.base[t] + np.cumsum(present, dtype=np.int32)[self.draws[t]] - 1
+
+    def grow(self) -> tuple[list, list[float]]:
+        """Per-depth slot records (feature or -1, threshold, leaf id, weight) and
+        the leaf values, for `_assemble`."""
+        cfg = self.cfg
+        e_leaf = np.empty(len(self.e_row), np.int32)
+        levels = []
+        n_leaves = 0
+        order = np.arange(len(self.e_row), dtype=np.int32)
+        counts = self.sizes
+        slot_tree = np.arange(len(self.rngs))
+        depth = 0
+        while len(counts):
+            starts = np.cumsum(counts) - counts
+            slot = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
+            total = np.add.reduceat(self.e_w[order], starts)
+            feature = np.full(len(counts), -1)
+            threshold = np.zeros(len(counts))
+            if depth < cfg.max_depth:
+                yv = self.y[self.e_row[order]]
+                varied = np.minimum.reduceat(yv, starts) < np.maximum.reduceat(yv, starts)
+                del yv
+                open_ = np.flatnonzero((total >= cfg.split_threshold) & varied)
+                if len(open_):
+                    self._split(order, starts, counts, slot, slot_tree, total, open_,
+                                feature, threshold)
+
+            leaf = feature < 0
+            leaf_id = np.full(len(counts), -1)
+            leaf_id[leaf] = n_leaves + np.arange(np.count_nonzero(leaf))
+            n_leaves += np.count_nonzero(leaf)
+            at_leaf = leaf[slot]
+            e_leaf[order[at_leaf]] = leaf_id[slot[at_leaf]]
+            levels.append((feature, threshold, leaf_id, total))
+
+            # children: each split slot's entries, the left child's first
+            order, slot = order[~at_leaf], slot[~at_leaf]
+            del at_leaf
+            go_right = self.x[self.e_row[order], feature[slot]] > threshold[slot]
+            child = (2 * np.cumsum(~leaf, dtype=np.int32) - 2)[slot] + go_right
+            del slot, go_right
+            order = order[np.argsort(child, kind="stable")]
+            counts = np.bincount(child, minlength=2 * np.count_nonzero(~leaf))
+            del child
+            slot_tree = np.repeat(slot_tree[~leaf], 2)
+            depth += 1
+        return levels, self._leaf_values(e_leaf, n_leaves)
+
+    def _split(self, order, starts, counts, slot, slot_tree, total, open_, feature, threshold):
+        """Choose each open slot's split, writing it into `feature`/`threshold`."""
+        k, p, m = len(open_), self.x.shape[1], self.m
+        if m < p:  # each node's own subset, drawn from its tree's stream in level order
+            keys = np.concatenate([
+                self.rngs[t].random((c, p))
+                for t, c in enumerate(np.bincount(slot_tree[open_]).tolist()) if c
+            ])
+            sampled = np.zeros((k, p), dtype=bool)
+            sampled[np.arange(k)[:, None], np.argsort(keys, axis=1, kind="stable")[:, :m]] = True
+        else:
+            sampled = np.ones((k, p), dtype=bool)
+
+        dev = self.y[self.e_row[order]]
+        centred = self.e_w[order] * dev
+        dev -= (np.add.reduceat(centred, starts) / total)[slot]
+        centred = self.e_w[order] * dev
+        sse = np.add.reduceat(centred * dev, starts)[open_]
+        self.e_centred[order] = centred
+        del centred, dev
+        best = np.full(k, -np.inf)
+        second = np.full(k, -np.inf)
+        best_f = np.full(k, -1)
+        best_t = np.zeros(k)
+        top_by_f = np.full((k, p), -np.inf)
+        for f in range(p):
+            on = np.flatnonzero(sampled[:, f])
+            if not len(on):
+                continue
+            at = open_[on]
+            top, runner_up, thr = _score_feature(
+                self.bins[f], order, self.e_row, self.e_w, self.e_centred,
+                starts[at], counts[at], total[at], self.cfg.min_samples_leaf,
+            )
+            top_by_f[on, f] = top
+            was = best[on]
+            better = top > was  # equal gains keep the lower feature index
+            second[on] = np.where(better, np.maximum(was, runner_up), np.maximum(second[on], top))
+            best[on] = np.where(better, top, was)
+            best_f[on] = np.where(better, f, best_f[on])
+            best_t[on] = np.where(better, thr, best_t[on])
+
+        found = best > -np.inf
+        tiny = found & (best <= _NEAR * sse)
+        tie = found & ~tiny & (second >= best * (1.0 - _NEAR))
+        clear = found & ~tiny & ~tie
+        feature[open_[clear]] = best_f[clear]
+        threshold[open_[clear]] = best_t[clear]
+        deferred = np.flatnonzero(tiny | tie)
+        if not len(deferred):
+            return
+        e_slot = np.full(len(self.e_row), -1, dtype=np.int32)
+        e_slot[order] = slot
+        for i in deferred.tolist():
+            s = open_[i]
+            t = slot_tree[s]
+            rows = self.draws[t][e_slot[self._draw_entries(t)] == s]
+            if tiny[i]:
+                band = top_by_f[i] > -np.inf
+            else:
+                band = top_by_f[i] >= best[i] * (1.0 - _NEAR)
+            choice = _choose_split(self.x, rows, self.y[rows], np.flatnonzero(band).tolist(),
+                                   self.cfg.min_samples_leaf)
+            if choice is not None:
+                feature[s], threshold[s] = choice
+
+    def _leaf_values(self, e_leaf: np.ndarray, n_leaves: int) -> list[float]:
+        """Leaf means as `_grow` takes them: numpy's mean of the leaf's draws in
+        draw order, one row per leaf of a (leaves of one size) x size matrix."""
+        draw_leaf = np.concatenate([e_leaf[self._draw_entries(t)] for t in range(len(self.draws))])
+        ys = self.y[np.concatenate(self.draws)[np.argsort(draw_leaf, kind="stable")]]
+        leaf_size = np.bincount(draw_leaf, minlength=n_leaves)
+        leaf_first = np.cumsum(leaf_size) - leaf_size
+        value = np.empty(n_leaves)
+        for size in np.flatnonzero(np.bincount(leaf_size)):
+            ids = np.flatnonzero(leaf_size == size)
+            value[ids] = ys[leaf_first[ids, None] + np.arange(size)].sum(axis=1) / size
+        return value.tolist()
+
+
+def _assemble(levels: list, value: list[float]) -> list[TreeNode]:
+    """Leaf/Internal trees from `_Block.grow`'s records, deepest level first."""
+    below: list[TreeNode] = []
+    for feature, threshold, leaf_id, total in reversed(levels):
+        children = iter(below)
+        below = [
+            Leaf(value=value[i], n_samples=int(nw)) if f < 0
+            else Internal(f, thr, next(children), next(children))
+            for f, thr, i, nw in zip(
+                feature.tolist(), threshold.tolist(), leaf_id.tolist(), total.tolist()
+            )
+        ]
+    return below
+
+
 def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig()) -> Forest:
-    """Bag of CARTs on bootstrap resamples with per-split feature subsets."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or len(y) != x.shape[0] or len(y) < 2:
-        raise InvalidData(f"bad training shapes x={x.shape}, y={y.shape}")
+    """Bag of CARTs on bootstrap resamples with per-node feature subsets.
+
+    Tree t is the tree `_grow` would build on its bootstrap sample (the first
+    draw of its generator, `rng.integers(0, n, size=n)`), except that each
+    node considers only its own draw of `features_per_split` features. The
+    sample is kept as integer row weights, and the trees are grown together
+    level by level in blocks of at most `_BLOCK_ENTRIES` (tree, row) entries.
+    Every node draws its subset from its tree's generator in level order: all
+    nodes of one depth, left to right, before the next depth. Splits come from
+    presorted bins of distinct training values and are exactly `best_split`'s
+    candidates; a node whose top candidates lie within a relative 1e-9 of each
+    other, or whose best gain is at most 1e-9 of its SSE, defers to
+    `best_split` over the features in that band, on its rows repeated by
+    weight in draw order. Leaf values are the numpy mean of those rows.
+    """
+    x, y = _training_arrays(x, y, 2)
     n, p = x.shape
     m = cfg.features_per_split if cfg.features_per_split is not None else max(1, p // 3)
     if m > p:
         raise InvalidData(f"features_per_split {m} exceeds {p} features")
 
-    trees = []
+    bins = []
+    for f in range(p):
+        values, codes = np.unique(x[:, f], return_inverse=True)
+        bins.append((values, codes.astype(np.int32)))
+    trees: list[TreeNode] = []
+    block: list[tuple[np.random.Generator, np.ndarray]] = []
+    entries = 0
     for rng in _tree_rngs(cfg.seed, cfg.n_trees):
-        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
-        sampler = None
-        if m < p:
-            sampler = lambda rng=rng: np.sort(rng.choice(p, size=m, replace=False))
-        trees.append(fit_cart(x[idx], y[idx], cfg.tree, feature_sampler=sampler))
+        draw = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
+        draw = draw.astype(np.int32)
+        size = np.count_nonzero(np.bincount(draw, minlength=n))
+        if block and entries + size > _BLOCK_ENTRIES:
+            trees += _assemble(*_Block(x, y, bins, block, m, cfg.tree).grow())
+            block, entries = [], 0
+        block.append((rng, draw))
+        entries += size
+    trees += _assemble(*_Block(x, y, bins, block, m, cfg.tree).grow())
     return Forest(trees=tuple(trees), config=cfg)
 
 
@@ -265,10 +527,7 @@ def predict_forest_batch(f: Forest, x: np.ndarray) -> np.ndarray:
 
 def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmModel:
     """Stagewise boosting: each stage fits a small CART to current residuals."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or len(y) != x.shape[0] or len(y) < 2:
-        raise InvalidData(f"bad training shapes x={x.shape}, y={y.shape}")
+    x, y = _training_arrays(x, y, 2)
 
     init = float(y.mean())
     current = np.full(len(y), init)

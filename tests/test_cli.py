@@ -368,6 +368,23 @@ class TestPredict:
         assert rc == 2
 
 
+@pytest.mark.parametrize("reader", ["predict --model", "cv --config", "cv --panel"])
+def test_deeply_nested_json_is_a_format_error(panel_dir, tmp_path, capsys, reader):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    inp = tmp_path / "rows.csv"
+    write_feature_csv(inp, TestPredict.HEADER, TestPredict.ROWS)
+    argv = {
+        "predict --model": ["predict", "--model", str(deep), "--input", str(inp),
+                            "--out", str(tmp_path / "p.csv")],
+        "cv --config": ["cv", "--panel", str(panel_dir / "panel.json"),
+                        "--out", str(tmp_path), "--config", str(deep)],
+        "cv --panel": ["cv", "--panel", str(deep), "--out", str(tmp_path)],
+    }[reader]
+    assert main(argv) == 1
+    assert f"error: invalid JSON in {deep}: nested too deeply" in capsys.readouterr().err
+
+
 def test_model_kind_names_agree():
     assert set(persist.MODEL_KINDS) == set(cli.MODEL_ORDER) | {"ensemble"}
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from yieldcast.trees import (
     predict_tree,
     predict_tree_batch,
 )
+from yieldcast.trees import _tree_rngs
 
 
 class TestBestSplit:
@@ -165,6 +167,10 @@ def friedman_like(seed=0, n=120, p=4):
     return x, y
 
 
+# twice the tracemalloc peak measured for test_fit_memory_stays_bounded's fit
+CAP_BYTES = 2 * 1_600_000
+
+
 class TestForest:
     def test_single_unbagged_tree_is_plain_cart(self):
         x, y = friedman_like(seed=1)
@@ -205,6 +211,85 @@ class TestForest:
     def test_needs_two_rows(self):
         with pytest.raises(InvalidData):
             fit_forest(np.ones((1, 2)), np.ones(1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        x, y = friedman_like(seed=5, n=20)
+        x_bad = x.copy()
+        x_bad[3, 1] = bad
+        with pytest.raises(InvalidData, match="non-finite"):
+            fit_forest(x_bad, y)
+        y_bad = y.copy()
+        y_bad[7] = bad
+        with pytest.raises(InvalidData, match="non-finite"):
+            fit_forest(x, y_bad)
+
+    def test_unbagged_one_tree_forest_is_cart_oracle(self):
+        # The level-wise grower against the recursive one, node for node and
+        # bit for bit. Monotone copies of one column induce the same partition
+        # (tied gains that only float noise ranks); integer data gives exact
+        # ties and exact zero-gain nodes; continuous data gives neither.
+        rng = np.random.default_rng(2024)
+        for trial in range(330):
+            n = int(rng.integers(4, 70))
+            p = int(rng.integers(1, 5))
+            kind = trial % 3
+            if kind == 0:
+                base = rng.normal(size=n)
+                x = np.column_stack([base] + [np.exp(j * base) + j for j in range(1, p)])
+                y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 6)
+            elif kind == 1:
+                x = rng.integers(0, 6, size=(n, p)).astype(float)
+                y = rng.integers(0, 10, size=n).astype(float)
+            else:
+                x = rng.normal(size=(n, p))
+                y = x[:, 0] * 3.0 + rng.normal(size=n)
+            cfg = TreeConfig(max_depth=int(rng.integers(1, 9)),
+                             min_samples_leaf=int(rng.integers(1, 4)))
+            forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False,
+                                                   features_per_split=p, tree=cfg))
+            assert forest.trees[0] == fit_cart(x, y, cfg), f"trial {trial}"
+
+    def test_bootstrap_trees_are_cart_on_their_samples(self):
+        def same_tree(got, want):
+            if isinstance(want, Leaf):
+                assert isinstance(got, Leaf) and got.n_samples == want.n_samples
+                assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-300)
+                return
+            assert isinstance(got, Internal)
+            assert (got.feature_index, got.threshold) == (want.feature_index, want.threshold)
+            same_tree(got.left, want.left)
+            same_tree(got.right, want.right)
+
+        rng = np.random.default_rng(7)
+        for trial in range(12):
+            n, p, n_trees = int(rng.integers(20, 90)), 3, 6
+            base = rng.normal(size=n)
+            x = np.column_stack([base, np.exp(base), rng.integers(0, 4, size=n)])
+            y = np.sin(3 * base) + rng.normal(scale=0.1, size=n)
+            cfg = TreeConfig(max_depth=8, min_samples_leaf=2)
+            forest = fit_forest(x, y, ForestConfig(n_trees=n_trees, features_per_split=p,
+                                                   tree=cfg, seed=trial))
+            for tree, tree_rng in zip(forest.trees, _tree_rngs(trial, n_trees)):
+                idx = tree_rng.integers(0, n, size=n)
+                same_tree(tree, fit_cart(x[idx], y[idx], cfg))
+
+    def test_fit_memory_stays_bounded(self):
+        # About 1,200 distinct values in each numeric column, as at full panel
+        # size. A scoring table of (nodes x bins) per level would pass the cap.
+        rng = np.random.default_rng(11)
+        n = 1200
+        items = rng.integers(0, 10, size=n)
+        x = np.column_stack([rng.normal(size=(n, 3)), np.eye(10)[items]])
+        y = 1e4 * (x[:, 0] * (items % 3) + np.sin(x[:, 1])) + rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            fit_forest(x, y, ForestConfig(n_trees=25, seed=3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < CAP_BYTES, peak
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
