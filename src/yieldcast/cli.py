@@ -9,9 +9,7 @@ never embed paths or timestamps.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import io
 import sys
 from dataclasses import dataclass, fields
 from functools import partial
@@ -55,7 +53,7 @@ MODEL_FITS = {
         x, y, SgdConfig(seed=seed), passthrough=mask, feature_names=names
     ),
     "cart": lambda x, y, mask, names, seed: fit_cart(x, y, TreeConfig()),
-    "gbm": lambda x, y, mask, names, seed: fit_gbm(x, y, GbmConfig(seed=seed)),
+    "gbm": lambda x, y, mask, names, seed: fit_gbm(x, y, GbmConfig()),
     "knn": lambda x, y, mask, names, seed: fit_knn(
         x, y, k=KNN_K, passthrough=mask, feature_names=names
     ),
@@ -77,26 +75,31 @@ def _read_bytes(path: str | Path) -> bytes:
         raise IoError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse(path: str | Path, data: bytes, parse, *args):
+    """parse(data, *args), naming path in any FormatError it raises."""
+    try:
+        return parse(data, *args)
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _load_aliases(path: Optional[str]) -> ingest.CountryAliasMap:
     if path is None:
         return ingest.CountryAliasMap.load_default()
-    return ingest.CountryAliasMap.from_csv(_read_bytes(path))
+    return _parse(path, _read_bytes(path), ingest.CountryAliasMap.from_csv)
 
 
 def _parse_inputs(args) -> tuple[dict, dict]:
     """Read and parse the four CSVs; returns (parsed, sha256 digests)."""
-    raw = {
-        "rain": _read_bytes(args.rain),
-        "temp": _read_bytes(args.temp),
-        "pesticides": _read_bytes(args.pesticides),
-        "yield": _read_bytes(args.yield_path),
-    }
+    paths = {"rain": args.rain, "temp": args.temp,
+             "pesticides": args.pesticides, "yield": args.yield_path}
+    raw = {k: _read_bytes(path) for k, path in paths.items()}
     digests = {k: hashlib.sha256(v).hexdigest() for k, v in raw.items()}
     parsed = {
-        "rain": ingest.parse_cckp_csv(raw["rain"], "precipitation"),
-        "temp": ingest.parse_cckp_csv(raw["temp"], "temperature"),
-        "pesticides": ingest.parse_fao_csv(raw["pesticides"]),
-        "yield": ingest.parse_fao_csv(raw["yield"]),
+        "rain": _parse(paths["rain"], raw["rain"], ingest.parse_cckp_csv, "precipitation"),
+        "temp": _parse(paths["temp"], raw["temp"], ingest.parse_cckp_csv, "temperature"),
+        "pesticides": _parse(paths["pesticides"], raw["pesticides"], ingest.parse_fao_csv),
+        "yield": _parse(paths["yield"], raw["yield"], ingest.parse_fao_csv),
     }
     for name, result in parsed.items():
         for w in result.warnings:
@@ -413,11 +416,7 @@ def cmd_cv(args) -> int:
 
 
 def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    try:
-        text = ingest._decode(_read_bytes(path))
-    except FormatError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    rows = [(i, row) for i, row in enumerate(csv.reader(io.StringIO(text)), 1) if row]
+    rows = _parse(path, _read_bytes(path), lambda data: list(ingest.csv_rows(data)))
     if not rows:
         raise FormatError(f"{path}: empty input")
     header = [c.strip() for c in rows[0][1]]

@@ -36,6 +36,8 @@ class ClimateRecord:
             raise ValueError(f"bad ISO3 code: {self.iso3!r}")
         if not 1901 <= self.year <= 2100:
             raise ValueError(f"year {self.year} outside [1901, 2100]")
+        if not math.isfinite(self.value):
+            raise ValueError(f"non-finite value: {self.value}")
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,8 @@ class FaoRecord:
     def __post_init__(self):
         if self.unit not in ("hg/ha", "tonnes"):
             raise ValueError(f"unknown unit: {self.unit!r}")
+        if not math.isfinite(self.value):
+            raise ValueError(f"non-finite value: {self.value}")
         if self.value < 0:
             raise ValueError(f"negative value: {self.value}")
 

@@ -13,7 +13,7 @@ import csv
 import io
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .core import ClimateRecord, FaoRecord, PanelRow, PanelTable
 from .errors import EmptyJoin, FormatError, InvalidConfig
@@ -38,111 +38,94 @@ class ParseResult:
     warnings: tuple[str, ...] = ()
 
 
-def _decode(data) -> str:
-    if isinstance(data, str):
-        return data
+def csv_rows(data) -> Iterator[tuple[int, list[str]]]:
+    """(line number, cells) for each record of a CSV given as bytes or text.
+
+    Records whose cells are all blank are skipped. A record is numbered by
+    the line it ends on, which is the line it starts on unless a quoted
+    field holds a line break. Bytes must be UTF-8 (a BOM is dropped); bytes that
+    are not, and rows the csv module cannot read (such as a field over its
+    size limit), raise FormatError.
+    """
+    if not isinstance(data, str):
+        try:
+            data = data.decode("utf-8-sig")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"input is not UTF-8: {exc}") from exc
+    reader = csv.reader(io.StringIO(data))
     try:
-        return data.decode("utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"input is not UTF-8: {exc}") from exc
+        for row in reader:
+            if "".join(row).strip():
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"line {reader.line_num}: {exc}") from exc
+
+
+def _parse_records(data, layout: str, record: Callable[[list[str]], object]) -> ParseResult:
+    """Records of a CSV whose header starts with the columns named in layout.
+
+    Header cells match case-insensitively; a "<...>" column matches any
+    name. Each data row becomes record(row). A row with fewer cells than
+    layout names, or one that record rejects with ValueError, is kept as a
+    RowError instead.
+    """
+    columns = layout.split(",")
+    rows = csv_rows(data)
+    _, header = next(rows, (None, None))
+    if header is None:
+        raise FormatError("empty file: missing header row")
+    names = [h.strip().lower() for h in header[: len(columns)]]
+    expected = [n if c.startswith("<") else c.lower() for c, n in zip(columns, names)]
+    if len(names) < len(columns) or names != expected:
+        raise FormatError(f"bad header {header!r}: expected {layout}")
+
+    records = []
+    errors: list[RowError] = []
+    for line, row in rows:
+        try:
+            if len(row) < len(columns):
+                raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
+            records.append(record(row))
+        except ValueError as exc:
+            errors.append(RowError(line, str(exc)))
+    warnings = () if records or errors else ("no data rows after header",)
+    return ParseResult(tuple(records), tuple(errors), warnings)
 
 
 def parse_cckp_csv(data, variable_kind: str) -> ParseResult:
     """Parse a climate CSV (Year, Country, ISO3, value-by-position-4).
 
     The fourth column's header name varies between exports, so it is selected
-    by position. Rows with malformed years, ISO3 codes or non-numeric values
-    are collected as RowErrors.
+    by position. Rows with non-numeric years or values, and rows that
+    ClimateRecord rejects (years out of range, malformed ISO3 codes,
+    non-finite values), are collected as RowErrors.
     """
     if variable_kind not in ("precipitation", "temperature"):
         raise InvalidConfig(f"unknown variable kind: {variable_kind!r}")
-    reader = csv.reader(io.StringIO(_decode(data)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty file: missing header row") from None
-    expected = ("year", "country", "iso3")
-    got = tuple(h.strip().lower() for h in header[:3])
-    if len(header) < 4 or got != expected:
-        raise FormatError(
-            f"bad header {header!r}: expected Year,Country,ISO3,<value>"
-        )
-
-    records: list[ClimateRecord] = []
-    errors: list[RowError] = []
-    warnings: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 4:
-            errors.append(RowError(line_no, f"expected 4 fields, got {len(row)}"))
-            continue
-        try:
-            year = int(row[0].strip())
-            value = float(row[3].strip())
-        except ValueError:
-            errors.append(RowError(line_no, f"non-numeric year/value: {row!r}"))
-            continue
-        try:
-            rec = ClimateRecord(
-                year=year,
-                country=row[1].strip(),
-                iso3=row[2].strip(),
-                value=value,
-            )
-        except ValueError as exc:
-            errors.append(RowError(line_no, str(exc)))
-            continue
-        records.append(rec)
-    if not records and not errors:
-        warnings.append(f"no {variable_kind} data rows after header")
-    return ParseResult(tuple(records), tuple(errors), tuple(warnings))
+    return _parse_records(
+        data,
+        "Year,Country,ISO3,<value>",
+        lambda row: ClimateRecord(
+            year=int(row[0]), country=row[1].strip(), iso3=row[2].strip(), value=float(row[3])
+        ),
+    )
 
 
 def parse_fao_csv(data) -> ParseResult:
     """Parse an Area,Item,Year,Unit,Value CSV.
 
-    Units outside {hg/ha, tonnes} and negative values are rejected row by row.
+    Rows with non-numeric years or values, and rows that FaoRecord rejects
+    (units outside {hg/ha, tonnes}, negative or non-finite values), are
+    collected as RowErrors.
     """
-    reader = csv.reader(io.StringIO(_decode(data)))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("empty file: missing header row") from None
-    expected = ("area", "item", "year", "unit", "value")
-    got = tuple(h.strip().lower() for h in header[:5])
-    if got != expected:
-        raise FormatError(f"bad header {header!r}: expected Area,Item,Year,Unit,Value")
-
-    records: list[FaoRecord] = []
-    errors: list[RowError] = []
-    warnings: list[str] = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not c.strip() for c in row):
-            continue
-        if len(row) < 5:
-            errors.append(RowError(line_no, f"expected 5 fields, got {len(row)}"))
-            continue
-        unit = row[3].strip()
-        if unit not in ("hg/ha", "tonnes"):
-            errors.append(RowError(line_no, f"unknown unit {unit!r}"))
-            continue
-        try:
-            year = int(row[2].strip())
-            value = float(row[4].strip())
-        except ValueError:
-            errors.append(RowError(line_no, f"non-numeric year/value: {row!r}"))
-            continue
-        if value < 0:
-            errors.append(RowError(line_no, f"negative value {value}"))
-            continue
-        records.append(
-            FaoRecord(area=row[0].strip(), item=row[1].strip(), year=year,
-                      unit=unit, value=value)
-        )
-    if not records and not errors:
-        warnings.append("no data rows after header")
-    return ParseResult(tuple(records), tuple(errors), tuple(warnings))
+    return _parse_records(
+        data,
+        "Area,Item,Year,Unit,Value",
+        lambda row: FaoRecord(
+            area=row[0].strip(), item=row[1].strip(), year=int(row[2]),
+            unit=row[3].strip(), value=float(row[4]),
+        ),
+    )
 
 
 def _normalize_name(name: str) -> str:
@@ -187,16 +170,14 @@ class CountryAliasMap:
 
     @classmethod
     def from_csv(cls, data) -> "CountryAliasMap":
-        reader = csv.reader(io.StringIO(_decode(data)))
+        """Read (source_name, iso3) rows; a first row naming source_name is a header."""
         pairs = []
-        for i, row in enumerate(reader):
-            if not row or all(not c.strip() for c in row):
-                continue
+        for line, row in csv_rows(data):
             if len(row) < 2:
-                raise FormatError(f"alias row {i + 1} needs 2 columns: {row!r}")
-            if i == 0 and row[0].strip().lower() == "source_name":
-                continue
+                raise FormatError(f"line {line}: alias row needs 2 columns: {row!r}")
             pairs.append((row[0], row[1]))
+        if pairs and pairs[0][0].strip().lower() == "source_name":
+            del pairs[0]
         return cls(pairs)
 
     @classmethod
@@ -248,17 +229,22 @@ class MergeReport:
         return "\n".join(lines)
 
 
-def _index_climate(records, report: MergeReport, label: str) -> dict:
-    by_key: dict[tuple[str, int], float] = {}
-    dups = 0
-    for rec in records:
-        key = (rec.iso3, rec.year)
-        if key in by_key:
-            dups += 1
-        by_key[key] = rec.value
-    if dups:
-        report.duplicate_rows[label] = dups
-    return by_key
+def _keep_last(pairs: Iterable[tuple], report: MergeReport, label: str) -> dict:
+    """Index (key, value) pairs; a repeated key keeps its last value and is
+    counted in report.duplicate_rows[label]."""
+    pairs = list(pairs)
+    index = dict(pairs)
+    if len(index) < len(pairs):
+        report.duplicate_rows[label] = len(pairs) - len(index)
+    return index
+
+
+def _located(records: list, aliases: CountryAliasMap, unmatched: set) -> list:
+    """(record, (canonical, iso3)) for each record whose area the alias map
+    resolves; the areas it cannot resolve are added to unmatched."""
+    hits = {area: normalize_country(area, aliases) for area in {r.area for r in records}}
+    unmatched.update(area for area, hit in hits.items() if hit is None)
+    return [(r, hits[r.area]) for r in records if hits[r.area] is not None]
 
 
 def merge_panel(
@@ -284,65 +270,45 @@ def merge_panel(
             "yields": len(yields),
         }
     )
-    rain_by = _index_climate(rain, report, "rain")
-    temp_by = _index_climate(temp, report, "temp")
+    rain_by = _keep_last((((r.iso3, r.year), r.value) for r in rain), report, "rain")
+    temp_by = _keep_last((((r.iso3, r.year), r.value) for r in temp), report, "temp")
 
     unmatched: set[str] = set()
-    pest_by: dict[tuple[str, int], float] = {}
-    pest_dups = 0
-    for rec in pesticides:
-        if rec.item != PESTICIDE_ITEM or rec.unit != "tonnes":
-            report.ignored_pesticide_items += 1
-            continue
-        hit = normalize_country(rec.area, aliases)
-        if hit is None:
-            unmatched.add(rec.area)
-            report.unmatched_pesticide_rows += 1
-            continue
-        key = (hit[1], rec.year)
-        if key in pest_by:
-            pest_dups += 1
-        pest_by[key] = rec.value
-    if pest_dups:
-        report.duplicate_rows["pesticides"] = pest_dups
+    pest = [r for r in pesticides if r.item == PESTICIDE_ITEM and r.unit == "tonnes"]
+    report.ignored_pesticide_items = len(pesticides) - len(pest)
+    pest_hits = _located(pest, aliases, unmatched)
+    report.unmatched_pesticide_rows = len(pest) - len(pest_hits)
+    pest_by = _keep_last(
+        (((iso3, r.year), r.value) for r, (_, iso3) in pest_hits), report, "pesticides"
+    )
 
-    rows: dict[tuple[str, int, str], PanelRow] = {}
-    yield_dups = 0
-    for rec in yields:
-        if rec.unit != "hg/ha":
-            report.ignored_yield_units += 1
-            continue
-        hit = normalize_country(rec.area, aliases)
-        if hit is None:
-            unmatched.add(rec.area)
-            report.unmatched_yield_rows += 1
-            continue
-        canonical, iso3 = hit
-        cy = (iso3, rec.year)
-        if cy not in rain_by:
-            report.dropped_for_missing["rain"] += 1
-            continue
-        if cy not in temp_by:
-            report.dropped_for_missing["temp"] += 1
-            continue
-        if cy not in pest_by:
-            report.dropped_for_missing["pesticides"] += 1
-            continue
-        key = (iso3, rec.year, rec.item)
-        if key in rows:
-            yield_dups += 1
-        rows[key] = PanelRow(
-            iso3=iso3,
-            country=canonical,
-            year=rec.year,
-            item=rec.item,
-            rain_mm=rain_by[cy],
-            temp_c=temp_by[cy],
-            pesticides_tonnes=pest_by[cy],
-            yield_hg_ha=rec.value,
-        )
-    if yield_dups:
-        report.duplicate_rows["yields"] = yield_dups
+    crops = [r for r in yields if r.unit == "hg/ha"]
+    report.ignored_yield_units = len(yields) - len(crops)
+    crop_hits = _located(crops, aliases, unmatched)
+    report.unmatched_yield_rows = len(crops) - len(crop_hits)
+
+    def joined():
+        for rec, (canonical, iso3) in crop_hits:
+            cy = (iso3, rec.year)
+            if cy not in rain_by:
+                report.dropped_for_missing["rain"] += 1
+            elif cy not in temp_by:
+                report.dropped_for_missing["temp"] += 1
+            elif cy not in pest_by:
+                report.dropped_for_missing["pesticides"] += 1
+            else:
+                yield (iso3, rec.year, rec.item), PanelRow(
+                    iso3=iso3,
+                    country=canonical,
+                    year=rec.year,
+                    item=rec.item,
+                    rain_mm=rain_by[cy],
+                    temp_c=temp_by[cy],
+                    pesticides_tonnes=pest_by[cy],
+                    yield_hg_ha=rec.value,
+                )
+
+    rows = _keep_last(joined(), report, "yields")
 
     report.unmatched_areas = sorted(unmatched)
     report.rows_out = len(rows)
@@ -366,6 +332,7 @@ __all__ = [
     "PESTICIDE_ITEM",
     "RowError",
     "ParseResult",
+    "csv_rows",
     "parse_cckp_csv",
     "parse_fao_csv",
     "CountryAliasMap",

@@ -77,7 +77,25 @@ def _format_float(v: float) -> str:
     return s
 
 
-def _emit(obj: Any, depth: int, parts: list[str]) -> None:
+# Parts a document collects before _emit hands them to the writer as one chunk
+_CHUNK_PARTS = 4096
+
+
+class _Parts(list):
+    """Pending text parts of a document being emitted, and where they go."""
+
+    def __init__(self, write: Callable[[str], Any]):
+        super().__init__()
+        self.write = write
+
+    def flush(self) -> None:
+        self.write("".join(self))
+        self.clear()
+
+
+def _emit(obj: Any, depth: int, parts: _Parts) -> None:
+    if len(parts) >= _CHUNK_PARTS:
+        parts.flush()
     pad = "  " * depth
     inner = "  " * (depth + 1)
     if obj is None:
@@ -120,11 +138,17 @@ def _emit(obj: Any, depth: int, parts: list[str]) -> None:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
+def _write_canonical(obj: Any, write: Callable[[str], Any]) -> None:
+    parts = _Parts(write)
+    _emit(obj, 0, parts)
+    parts.flush()
+
+
 def canonical_json(obj: Any) -> str:
     """Render obj in canonical form (no trailing newline)."""
-    parts: list[str] = []
-    _emit(obj, 0, parts)
-    return "".join(parts)
+    chunks: list[str] = []
+    _write_canonical(obj, chunks.append)
+    return "".join(chunks)
 
 
 def _write_text(path: str | Path, text: str) -> None:
@@ -135,7 +159,13 @@ def _write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(obj: Any, path: str | Path) -> None:
-    _write_text(path, canonical_json(obj) + "\n")
+    """Write obj in canonical form plus a newline, a chunk of parts at a time."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            _write_canonical(obj, fh.write)
+            fh.write("\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path) -> None:

@@ -97,7 +97,6 @@ class GbmConfig:
     tree: TreeConfig = field(
         default_factory=lambda: TreeConfig(max_depth=3, min_samples_leaf=5)
     )
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_stages < 1:

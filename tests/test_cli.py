@@ -62,6 +62,31 @@ class TestIngest:
         paths = synth.small_snapshot(tmp_path / "snap", yield_years=(1961, 1980))
         assert main(["ingest", *input_flags(paths), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("command", ["ingest", "explore"])
+    def test_non_finite_raw_value_is_a_skipped_row(self, snap, tmp_path, capsys, command):
+        # The last rain row (2010) is inside the panel's years, so its value
+        # would reach a panel row if the parser let it through.
+        lines = snap["rain"].read_text().splitlines()
+        lines[-1] = lines[-1].rsplit(",", 1)[0] + ",nan"
+        rain = tmp_path / "rain.csv"
+        rain.write_text("\n".join(lines) + "\n")
+        flags = input_flags(snap)
+        flags[1] = str(rain)
+        assert main([command, *flags, "--out", str(tmp_path / "out")]) == 0
+        assert "warning [rain]: skipped 1 malformed rows" in capsys.readouterr().err
+        if command == "explore":
+            assert "nan" not in (tmp_path / "out" / "annual_rain.csv").read_text()
+
+    @pytest.mark.parametrize("command", ["ingest", "explore"])
+    def test_empty_input_names_its_path(self, snap, tmp_path, capsys, command):
+        empty = tmp_path / "temp.csv"
+        empty.write_text("")
+        flags = input_flags(snap)
+        flags[3] = str(empty)
+        assert main([command, *flags, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {empty}: empty file: missing header row\n"
+
 
 class TestExplore:
     def test_writes_descriptive_outputs(self, snap, tmp_path, capsys):
@@ -383,6 +408,29 @@ def test_deeply_nested_json_is_a_format_error(panel_dir, tmp_path, capsys, reade
     }[reader]
     assert main(argv) == 1
     assert f"error: invalid JSON in {deep}: nested too deeply" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["ingest", "explore", "aliases", "predict"])
+def test_oversized_field_names_file_and_line(snap, ols_model_path, tmp_path, capsys, target):
+    big = tmp_path / "big.csv"
+    header = {
+        "aliases": "source_name,iso3",
+        "predict": ",".join(TestPredict.HEADER),
+    }.get(target, snap["temp"].read_text().splitlines()[0])
+    big.write_text(f"{header}\n2000,Kenya,{'9' * 131_073}\n")
+    out = tmp_path / "out"
+    flags = input_flags(snap)
+    if target in ("ingest", "explore"):
+        flags[3] = str(big)
+        argv = [target, *flags, "--out", str(out)]
+    elif target == "aliases":
+        argv = ["ingest", *flags, "--aliases", str(big), "--out", str(out)]
+    else:
+        argv = ["predict", "--model", str(ols_model_path), "--input", str(big),
+                "--out", str(out / "p.csv")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {big}: line 2: field larger than field limit (131072)\n"
 
 
 def test_model_kind_names_agree():

@@ -4,11 +4,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import synth
 from conftest import parse_snapshot
 from yieldcast.core import ClimateRecord, FaoRecord
-from yieldcast.errors import EmptyJoin, FormatError, InvalidConfig
+from yieldcast.errors import EmptyJoin, FormatError, InvalidConfig, YieldcastError
 from yieldcast.ingest import (
     PESTICIDE_ITEM,
     CountryAliasMap,
@@ -85,6 +87,17 @@ class TestParseCckp:
         result = parse_cckp_csv("Year,Country,ISO3,v\n", "temperature")
         assert result.records == () and len(result.warnings) == 1
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_is_row_error(self, cell):
+        result = parse_cckp_csv(
+            f"Year,Country,ISO3,v\n2000,Kenya,KEN,{cell}\n2001,Kenya,KEN,2.5\n",
+            "precipitation",
+        )
+        assert [r.year for r in result.records] == [2001]
+        assert [(e.line, e.message) for e in result.row_errors] == [
+            (2, f"non-finite value: {float(cell)}")
+        ]
+
 
 class TestParseFao:
     def test_happy_path(self):
@@ -113,6 +126,86 @@ class TestParseFao:
         assert [r.value for r in result.records] == [7.0]
         assert [e.line for e in result.row_errors] == [2, 3, 4]
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_row_error(self, cell):
+        result = parse_fao_csv(
+            "Area,Item,Year,Unit,Value\n"
+            f"Kenya,Maize,2000,hg/ha,{cell}\n"
+            f"Kenya,Pesticides (total),2000,tonnes,{cell}\n"
+            "Kenya,Maize,2001,hg/ha,7\n"
+        )
+        assert [r.value for r in result.records] == [7.0]
+        assert [e.line for e in result.row_errors] == [2, 3]
+        assert all("non-finite" in e.message for e in result.row_errors)
+
+
+HEADERS = {
+    "cckp": "Year,Country,ISO3,v\n",
+    "fao": "Area,Item,Year,Unit,Value\n",
+    "aliases": "source_name,iso3\n",
+}
+PARSERS = {
+    "cckp": lambda data: parse_cckp_csv(data, "precipitation"),
+    "fao": parse_fao_csv,
+    "aliases": CountryAliasMap.from_csv,
+}
+OVERSIZED = "2000,Kenya,KEN," + "9" * 131_073 + "\n"
+
+
+class TestSharedReader:
+    """The row rules every input CSV shares."""
+
+    @pytest.mark.parametrize("dialect", sorted(PARSERS))
+    def test_oversized_field_names_its_line(self, dialect):
+        with pytest.raises(FormatError, match="^line 3: field larger than field limit"):
+            PARSERS[dialect](HEADERS[dialect] + "\n" + OVERSIZED)
+
+    @pytest.mark.parametrize("dialect", sorted(PARSERS))
+    def test_lone_carriage_returns_are_a_format_error(self, dialect):
+        with pytest.raises(FormatError, match="new-line character"):
+            PARSERS[dialect](HEADERS[dialect] + "a,b\rc,d\n")
+
+    def test_header_after_leading_blank_lines(self):
+        rows = {
+            "cckp": "2000,Kenya,KEN,1.5\n",
+            "fao": "Kenya,Maize,2000,hg/ha,7\n",
+            "aliases": "Kenya,KEN\n",
+        }
+        for dialect, parse in PARSERS.items():
+            plain = parse(HEADERS[dialect] + rows[dialect])
+            padded = parse("\n , \n" + HEADERS[dialect] + rows[dialect])
+            if dialect == "aliases":
+                assert len(padded) == len(plain) == 1
+            else:
+                assert padded.records == plain.records and padded.row_errors == ()
+
+    def test_quoted_line_breaks_count_as_lines(self):
+        result = parse_fao_csv(
+            "Area,Item,Year,Unit,Value\n"
+            '"Kenya\nwest",Maize,2000,hg/ha,7\n'
+            "Kenya,Maize,2001,kg/ha,7\n"
+        )
+        assert result.records[0].area == "Kenya\nwest"
+        assert [e.line for e in result.row_errors] == [4]
+
+    @pytest.mark.parametrize("dialect", sorted(PARSERS))
+    @given(
+        data=st.one_of(
+            st.binary(),
+            st.text(),
+            st.text(alphabet=st.sampled_from(list('0123456789,.-+"\r\n eEinfaKEN/hgtons\x00'))),
+        )
+    )
+    @example(data=OVERSIZED)
+    @example(data="2000,Kenya,KEN,nan\n")
+    def test_fuzz_only_domain_errors_escape(self, dialect, data):
+        if isinstance(data, str):
+            data = HEADERS[dialect] + data
+        try:
+            PARSERS[dialect](data)
+        except YieldcastError:
+            pass
+
 
 class TestAliasMap:
     def test_lookup_normalizes_case_space_punctuation(self):
@@ -135,6 +228,10 @@ class TestAliasMap:
     def test_short_row_rejected(self):
         with pytest.raises(FormatError):
             CountryAliasMap.from_csv("source_name,iso3\nKenya\n")
+
+    def test_short_row_names_its_line(self):
+        with pytest.raises(FormatError, match="^line 3: "):
+            CountryAliasMap.from_csv("source_name,iso3\n\nKenya\n")
 
     def test_packaged_table_covers_generator_countries(self):
         aliases = CountryAliasMap.load_default()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,6 +126,21 @@ class TestReadWrite:
         text = path.read_text()
         assert text == canonical_json({"a": 1}) + "\n"
         assert read_json(path) == {"a": 1}
+
+    def test_large_document_is_written_in_chunks(self, tmp_path):
+        doc = {"rows": [[i + j / 64 for j in range(50)] for i in range(2000)]}
+        path = tmp_path / "big.json"
+        tracemalloc.start()
+        try:
+            write_json(doc, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert text == canonical_json(doc) + "\n"
+        # One chunk at a time; rendering the whole document first needs more
+        # than its length.
+        assert peak < len(text) / 4
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
