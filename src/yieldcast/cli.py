@@ -162,12 +162,8 @@ def cmd_explore(args) -> int:
 
     rain = explore.annual_mean(parsed["rain"].records, "rain_mm")
     temp = explore.annual_mean(parsed["temp"].records, "temp_c")
-    pest_records = [
-        r
-        for r in parsed["pesticides"].records
-        if r.item == ingest.PESTICIDE_ITEM and r.unit == "tonnes"
-    ]
-    pest = explore.annual_mean(pest_records, "pesticides_tonnes")
+    pest = explore.annual_mean(ingest.pesticide_totals(parsed["pesticides"].records),
+                               "pesticides_tonnes")
     explore.emit_plot_data(rain, out / "annual_rain.csv")
     explore.emit_plot_data(temp, out / "annual_temp.csv")
     explore.emit_plot_data(pest, out / "annual_pesticides.csv")

@@ -239,6 +239,11 @@ def _keep_last(pairs: Iterable[tuple], report: MergeReport, label: str) -> dict:
     return index
 
 
+def pesticide_totals(records: Iterable[FaoRecord]) -> list[FaoRecord]:
+    """The pesticide rows the panel uses: all pesticides together, in tonnes."""
+    return [r for r in records if r.item == PESTICIDE_ITEM and r.unit == "tonnes"]
+
+
 def _located(records: list, aliases: CountryAliasMap, unmatched: set) -> list:
     """(record, (canonical, iso3)) for each record whose area the alias map
     resolves; the areas it cannot resolve are added to unmatched."""
@@ -274,7 +279,7 @@ def merge_panel(
     temp_by = _keep_last((((r.iso3, r.year), r.value) for r in temp), report, "temp")
 
     unmatched: set[str] = set()
-    pest = [r for r in pesticides if r.item == PESTICIDE_ITEM and r.unit == "tonnes"]
+    pest = pesticide_totals(pesticides)
     report.ignored_pesticide_items = len(pesticides) - len(pest)
     pest_hits = _located(pest, aliases, unmatched)
     report.unmatched_pesticide_rows = len(pest) - len(pest_hits)
@@ -338,5 +343,6 @@ __all__ = [
     "CountryAliasMap",
     "normalize_country",
     "MergeReport",
+    "pesticide_totals",
     "merge_panel",
 ]

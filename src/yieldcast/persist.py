@@ -77,7 +77,18 @@ def _format_float(v: float) -> str:
     return s
 
 
-# Parts a document collects before _emit hands them to the writer as one chunk
+# How each plain scalar type renders, looked up by exact type; numpy scalars
+# render as their .item()
+_SCALAR_TEXT: dict[type, Callable[[Any], str]] = {
+    type(None): lambda v: "null",
+    bool: lambda v: "true" if v else "false",
+    int: str,
+    float: _format_float,
+    str: json.encoder.encode_basestring_ascii,  # json.dumps(v, ensure_ascii=True)
+}
+
+# Parts a document collects before _emit hands them to the writer as one chunk;
+# a slice of a scalar list rendered in one join counts one part per cell
 _CHUNK_PARTS = 4096
 
 
@@ -87,28 +98,29 @@ class _Parts(list):
     def __init__(self, write: Callable[[str], Any]):
         super().__init__()
         self.write = write
+        self.cells = 0  # scalar-list cells held in the pending parts
+
+    def full(self) -> bool:
+        return len(self) + self.cells >= _CHUNK_PARTS
 
     def flush(self) -> None:
         self.write("".join(self))
         self.clear()
+        self.cells = 0
 
 
 def _emit(obj: Any, depth: int, parts: _Parts) -> None:
-    if len(parts) >= _CHUNK_PARTS:
+    if parts.full():
         parts.flush()
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        parts.append(text(obj))
+        return
     pad = "  " * depth
     inner = "  " * (depth + 1)
-    if obj is None:
-        parts.append("null")
-    elif isinstance(obj, (bool, np.bool_)):
-        parts.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        parts.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        parts.append(_format_float(float(obj)))
-    elif isinstance(obj, str):
-        parts.append(json.dumps(obj, ensure_ascii=True))
-    elif isinstance(obj, dict):
+    if isinstance(obj, dict):
         if not obj:
             parts.append("{}")
             return
@@ -117,14 +129,25 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
         for i, k in enumerate(keys):
             if not isinstance(k, str):
                 raise FormatError(f"non-string key {k!r} cannot be serialized")
-            parts.append(f"{inner}{json.dumps(k, ensure_ascii=True)}: ")
+            parts.append(f"{inner}{_SCALAR_TEXT[str](k)}: ")
             _emit(obj[k], depth + 1, parts)
             parts.append(",\n" if i < len(keys) - 1 else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
-        items = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
+        items = obj.tolist() if isinstance(obj, np.ndarray) else obj
         if not items:
             parts.append("[]")
+            return
+        sep = f",\n{inner}"
+        if all(type(item) in _SCALAR_TEXT for item in items):  # plain scalars: joined by slices
+            for start in range(0, len(items), _CHUNK_PARTS):
+                cells = items[start:start + _CHUNK_PARTS]
+                head = f"[\n{inner}" if start == 0 else sep
+                parts.append(head + sep.join(_SCALAR_TEXT[type(v)](v) for v in cells))
+                parts.cells += len(cells)
+                if parts.full():
+                    parts.flush()
+            parts.append(f"\n{pad}]")
             return
         parts.append("[\n")
         for i, item in enumerate(items):

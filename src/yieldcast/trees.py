@@ -5,28 +5,35 @@ midpoint thresholds. Tie-breaking is fixed — smallest threshold within a
 feature, lowest feature index across features — so fits are deterministic
 and reproducible across platforms.
 
-`fit_cart` and each `fit_gbm` stage grow one tree recursively, one
-`best_split` call per node and feature: with one tree at a time there is
-nothing for level batching to share. `fit_forest` grows all of its trees
-together, one depth level at a time, over exact bins: each feature's sorted
-distinct training values. Each tree has its own RNG stream, pre-derived from
-the config seed. The stream's first draw is the bootstrap sample, which
-becomes integer row weights, so `min_samples_leaf` and the split threshold
-count weights as duplicated rows would. Each node then draws its own
-feature subset from that stream, in level order (left to right within a
-depth, depth by depth). A split between two adjacent nonempty bins of a node
-is exactly a midpoint candidate of `best_split`, so each node splits as
-`_grow` would on the tree's bootstrap sample given the node's subset. Where
-float noise rather than the data decides a node — top candidates within a
-relative 1e-9 of each other, or a best gain of at most 1e-9 of the node's
-SSE — the node defers to `best_split` on its rows, repeated by weight in
-draw order.
+All three growers split over exact bins: each feature's sorted distinct
+training values, with every row's code into them. A boundary between two
+adjacent nonempty bins of a node is exactly a midpoint candidate of
+`best_split`, scored as the same SSE reduction summed in another order.
+Where float noise rather than the data could decide a node — top candidates
+within a relative 1e-9 of each other, or a best gain of at most 1e-9 of the
+node's SSE — the node calls `best_split` over the features in that band
+instead, so every tree is the one `best_split` would grow.
+
+`fit_cart` and each `fit_gbm` stage grow one tree recursively. The bins are
+built once per `fit_cart` call, and once per `fit_gbm` call for all of its
+stages. At a node, one bincount of the node's (row, feature) bins and one
+segmented cumulative sum score every candidate of every feature; a node with
+fewer such keys than there are bins counts only the bins it occupies.
+
+`fit_forest` grows all of its trees together, one depth level at a time.
+Each tree has its own RNG stream, pre-derived from the config seed. The
+stream's first draw is the bootstrap sample, which becomes integer row
+weights, so `min_samples_leaf` and the split threshold count weights as
+duplicated rows would. Each node then draws its own feature subset from
+that stream, in level order (left to right within a depth, depth by depth),
+and splits as `_grow` would on the tree's bootstrap sample given the node's
+subset; a deferring node calls `best_split` on its rows, repeated by weight
+in draw order.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -177,19 +184,98 @@ def _choose_split(
     return None if best is None else best[1:]
 
 
-def _grow(x: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int, cfg: TreeConfig) -> TreeNode:
+class _BinTable:
+    """Exact bins of all features on one axis: feature f's sorted distinct
+    training values are the bins from start[f] on, `feature` is each bin's
+    feature, and `keys[row, f]` is the row's bin of feature f."""
+
+    def __init__(self, x: np.ndarray):
+        bins = [np.unique(x[:, f], return_inverse=True) for f in range(x.shape[1])]
+        size = np.array([len(values) for values, _ in bins], dtype=np.int64)
+        self.start = np.cumsum(size) - size
+        self.feature = np.repeat(np.arange(len(bins)), size)
+        self.values = np.concatenate([np.empty(0)] + [values for values, _ in bins])
+        self.keys = np.empty(x.shape, np.int32)
+        for f, (_, codes) in enumerate(bins):
+            self.keys[:, f] = codes + self.start[f]
+
+
+def _band(top, best, second, sse):
+    """Features among which float noise, not the data, could pick a node's
+    split: none where the best candidate clearly wins.
+
+    `top` holds each feature's best gain, `best` and `second` the node's best
+    and runner-up gain over all candidates, `sse` its sum of squared
+    deviations. A best gain of at most `_NEAR` * sse puts every feature with a
+    candidate in the band; a runner-up within relative `_NEAR` of the best
+    puts the features whose top gain is. Elementwise, so nodes can be rows.
+    """
+    near = best * (1.0 - _NEAR)
+    return np.where(best <= _NEAR * sse, top > -np.inf, (second >= near) & (top >= near))
+
+
+def _bin_split(
+    x: np.ndarray, table: _BinTable, idx: np.ndarray, node_y: np.ndarray, min_samples_leaf: int
+) -> Optional[tuple[int, float]]:
+    """`_choose_split` over all features, scored from one bincount of the node's bins.
+
+    A candidate's gain is L^2 * n / (n_l * n_r), L being the centred left
+    sum. A node with fewer (row, feature) keys than the table has bins scores
+    only the bins it occupies. A node inside `_band` defers to `_choose_split`
+    over the band's features.
+    """
+    n, p = len(idx), table.keys.shape[1]
+    if not p:
+        return None
+    centred = node_y - node_y.mean()
+    keys = table.keys[idx].ravel()
+    if len(keys) < len(table.values):
+        occupied, keys = np.unique(keys, return_inverse=True)
+        values, feature = table.values[occupied], table.feature[occupied]
+        start = np.searchsorted(occupied, table.start)
+    else:
+        values, feature, start = table.values, table.feature, table.start
+    count = np.bincount(keys, minlength=len(values))
+    sums = np.bincount(keys, np.repeat(centred, p), len(values))
+    left_c = np.cumsum(sums)
+    left_c -= (left_c[start] - sums[start])[feature]
+    left_n = np.cumsum(count) - feature * n  # each feature's bins hold every row once
+    right_n = n - left_n
+    legal = (count > 0) & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gain = np.where(legal, left_c * left_c * n / (left_n * right_n), -np.inf)
+
+    top = np.maximum.reduceat(gain, start)
+    f = int(np.argmax(top))  # equal gains keep the lower feature index
+    best = top[f]
+    if best == -np.inf:
+        return None
+    lo, hi = start[f], (start[f + 1] if f + 1 < p else len(values))
+    b = lo + int(np.argmax(gain[lo:hi]))  # first max = smallest threshold
+    gain[b] = -np.inf
+    second = max(gain[lo:hi].max(), np.delete(top, f).max(initial=-np.inf))
+    band = _band(top, best, second, float(centred @ centred))
+    if band.any():
+        return _choose_split(x, idx, node_y, np.flatnonzero(band).tolist(), min_samples_leaf)
+    above = b + 1 + int(np.flatnonzero(count[b + 1:hi])[0])
+    return f, float((values[b] + values[above]) / 2.0)
+
+
+def _grow(
+    x: np.ndarray, y: np.ndarray, table: _BinTable, idx: np.ndarray, depth: int, cfg: TreeConfig
+) -> TreeNode:
     node_y = y[idx]
     n = len(idx)
-    if depth >= cfg.max_depth or n < cfg.split_threshold:
+    if depth >= cfg.max_depth or n < cfg.split_threshold or node_y.min() == node_y.max():
         return Leaf(value=float(node_y.mean()), n_samples=n)
-    best = _choose_split(x, idx, node_y, range(x.shape[1]), cfg.min_samples_leaf)
+    best = _bin_split(x, table, idx, node_y, cfg.min_samples_leaf)
     if best is None:
         return Leaf(value=float(node_y.mean()), n_samples=n)
 
     f, threshold = best
     go_left = x[idx, f] <= threshold
-    left = _grow(x, y, idx[go_left], depth + 1, cfg)
-    right = _grow(x, y, idx[~go_left], depth + 1, cfg)
+    left = _grow(x, y, table, idx[go_left], depth + 1, cfg)
+    right = _grow(x, y, table, idx[~go_left], depth + 1, cfg)
     return Internal(feature_index=f, threshold=threshold, left=left, right=right)
 
 
@@ -206,19 +292,11 @@ def _training_arrays(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
 def fit_cart(x: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> TreeNode:
     """Greedy recursive partitioning down to max_depth / min-sample limits."""
     x, y = _training_arrays(x, y, 1)
-    return _grow(x, y, np.arange(len(y)), 0, cfg)
-
-
-def predict_tree(t: TreeNode, x_row: Sequence[float]) -> float:
-    """Route one row through the tree (x[feature] <= threshold goes left)."""
-    node = t
-    while isinstance(node, Internal):
-        node = node.left if x_row[node.feature_index] <= node.threshold else node.right
-    return node.value
+    return _grow(x, y, _BinTable(x), np.arange(len(y)), 0, cfg)
 
 
 def predict_tree_batch(t: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Vectorized routing; identical to predict_tree row by row."""
+    """Route every row of x through the tree (x[feature] <= threshold goes left)."""
     x = np.asarray(x, dtype=float)
     out = np.empty(x.shape[0])
     stack = [(t, np.arange(x.shape[0]))]
@@ -245,7 +323,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 
 
 def _score_feature(
-    bins: tuple[np.ndarray, np.ndarray],
+    table: _BinTable,
+    f: int,
     order: np.ndarray,
     rows: np.ndarray,
     weight: np.ndarray,
@@ -255,7 +334,7 @@ def _score_feature(
     total: np.ndarray,
     min_samples_leaf: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best and runner-up gain, and the best threshold, of one feature per node.
+    """Best and runner-up gain, and the best threshold, of feature f per node.
 
     The nodes are position ranges (`starts`, `counts`) of `order`, a level's
     node-grouped list of entries; `rows`, `weight` and `centred` (weighted
@@ -265,10 +344,10 @@ def _score_feature(
     cumulative sums as L^2 * n / (n_l * n_r), L being the centred left sum:
     `best_split`'s SSE reduction, summed in another order.
     """
-    values, codes = bins
+    values = table.values
     ent = order[_ranges(starts, counts)]
     node = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-    code = codes[rows[ent]]
+    code = table.keys[rows[ent], f]
     by_bin = np.argsort(node.astype(np.int64) * len(values) + code, kind="stable")
     ent, code = ent[by_bin], code[by_bin]
     del by_bin
@@ -312,8 +391,8 @@ class _Block:
     children of a level's split slots are the next level's slots in order.
     """
 
-    def __init__(self, x, y, bins, members, m: int, cfg: TreeConfig):
-        self.x, self.y, self.bins, self.m, self.cfg = x, y, bins, m, cfg
+    def __init__(self, x, y, table: _BinTable, members, m: int, cfg: TreeConfig):
+        self.x, self.y, self.table, self.m, self.cfg = x, y, table, m, cfg
         self.rngs = [rng for rng, _ in members]
         self.draws = [draw for _, draw in members]
         n = x.shape[0]
@@ -407,7 +486,7 @@ class _Block:
                 continue
             at = open_[on]
             top, runner_up, thr = _score_feature(
-                self.bins[f], order, self.e_row, self.e_w, self.e_centred,
+                self.table, f, order, self.e_row, self.e_w, self.e_centred,
                 starts[at], counts[at], total[at], self.cfg.min_samples_leaf,
             )
             top_by_f[on, f] = top
@@ -418,26 +497,20 @@ class _Block:
             best_f[on] = np.where(better, f, best_f[on])
             best_t[on] = np.where(better, thr, best_t[on])
 
-        found = best > -np.inf
-        tiny = found & (best <= _NEAR * sse)
-        tie = found & ~tiny & (second >= best * (1.0 - _NEAR))
-        clear = found & ~tiny & ~tie
+        band = _band(top_by_f, best[:, None], second[:, None], sse[:, None])
+        deferred = band.any(axis=1)
+        clear = (best > -np.inf) & ~deferred
         feature[open_[clear]] = best_f[clear]
         threshold[open_[clear]] = best_t[clear]
-        deferred = np.flatnonzero(tiny | tie)
-        if not len(deferred):
+        if not deferred.any():
             return
         e_slot = np.full(len(self.e_row), -1, dtype=np.int32)
         e_slot[order] = slot
-        for i in deferred.tolist():
+        for i in np.flatnonzero(deferred).tolist():
             s = open_[i]
             t = slot_tree[s]
             rows = self.draws[t][e_slot[self._draw_entries(t)] == s]
-            if tiny[i]:
-                band = top_by_f[i] > -np.inf
-            else:
-                band = top_by_f[i] >= best[i] * (1.0 - _NEAR)
-            choice = _choose_split(self.x, rows, self.y[rows], np.flatnonzero(band).tolist(),
+            choice = _choose_split(self.x, rows, self.y[rows], np.flatnonzero(band[i]).tolist(),
                                    self.cfg.min_samples_leaf)
             if choice is not None:
                 feature[s], threshold[s] = choice
@@ -493,10 +566,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     if m > p:
         raise InvalidData(f"features_per_split {m} exceeds {p} features")
 
-    bins = []
-    for f in range(p):
-        values, codes = np.unique(x[:, f], return_inverse=True)
-        bins.append((values, codes.astype(np.int32)))
+    table = _BinTable(x)
     trees: list[TreeNode] = []
     block: list[tuple[np.random.Generator, np.ndarray]] = []
     entries = 0
@@ -505,17 +575,12 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
         draw = draw.astype(np.int32)
         size = np.count_nonzero(np.bincount(draw, minlength=n))
         if block and entries + size > _BLOCK_ENTRIES:
-            trees += _assemble(*_Block(x, y, bins, block, m, cfg.tree).grow())
+            trees += _assemble(*_Block(x, y, table, block, m, cfg.tree).grow())
             block, entries = [], 0
         block.append((rng, draw))
         entries += size
-    trees += _assemble(*_Block(x, y, bins, block, m, cfg.tree).grow())
+    trees += _assemble(*_Block(x, y, table, block, m, cfg.tree).grow())
     return Forest(trees=tuple(trees), config=cfg)
-
-
-def predict_forest(f: Forest, x_row: Sequence[float]) -> float:
-    """Unweighted mean of member predictions (exact, order-independent)."""
-    return math.fsum(predict_tree(t, x_row) for t in f.trees) / len(f.trees)
 
 
 def predict_forest_batch(f: Forest, x: np.ndarray) -> np.ndarray:
@@ -528,21 +593,16 @@ def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmMo
     """Stagewise boosting: each stage fits a small CART to current residuals."""
     x, y = _training_arrays(x, y, 2)
 
+    table = _BinTable(x)  # x is the same in every stage
+    rows = np.arange(len(y))
     init = float(y.mean())
     current = np.full(len(y), init)
     stages = []
     for _ in range(cfg.n_stages):
-        stage = fit_cart(x, y - current, cfg.tree)
+        stage = _grow(x, y - current, table, rows, 0, cfg.tree)
         current = current + cfg.learning_rate * predict_tree_batch(stage, x)
         stages.append(stage)
     return GbmModel(init_value=init, stages=tuple(stages), learning_rate=cfg.learning_rate)
-
-
-def predict_gbm(m: GbmModel, x_row: Sequence[float]) -> float:
-    """init + lr * sum of stage outputs; fsum keeps the sum order-invariant."""
-    return m.init_value + m.learning_rate * math.fsum(
-        predict_tree(t, x_row) for t in m.stages
-    )
 
 
 def predict_gbm_batch(m: GbmModel, x: np.ndarray) -> np.ndarray:
@@ -562,12 +622,9 @@ __all__ = [
     "GbmModel",
     "best_split",
     "fit_cart",
-    "predict_tree",
     "predict_tree_batch",
     "fit_forest",
-    "predict_forest",
     "predict_forest_batch",
     "fit_gbm",
-    "predict_gbm",
     "predict_gbm_batch",
 ]

@@ -79,6 +79,32 @@ class TestCanonicalForm:
     def test_non_ascii_escaped(self):
         assert canonical_json("é") == '"\\u00e9"'
 
+    def test_scalar_lists(self):
+        # plain scalars render in one join; numpy scalars and nested lists
+        # take the per-item path, and both read the same
+        assert canonical_json([float("nan"), float("inf"), -float("inf"), 0.1]) == (
+            '[\n  "NaN",\n  "Infinity",\n  "-Infinity",\n  0.10000000000000001\n]'
+        )
+        assert canonical_json([True, 1, 1.0, None, False, 0]) == (
+            "[\n  true,\n  1,\n  1.0,\n  null,\n  false,\n  0\n]"
+        )
+        assert canonical_json(["é", "日本", 'a"b\\c\n']) == (
+            '[\n  "\\u00e9",\n  "\\u65e5\\u672c",\n  "a\\"b\\\\c\\n"\n]'
+        )
+        assert canonical_json([[], [[]], {"k": []}]) == (
+            '[\n  [],\n  [\n    []\n  ],\n  {\n    "k": []\n  }\n]'
+        )
+        nested = {"a": [[1, "x"], [np.float64(2.5), np.int64(3), np.bool_(True)]]}
+        assert canonical_json(nested) == (
+            '{\n  "a": [\n    [\n      1,\n      "x"\n    ],\n'
+            '    [\n      2.5,\n      3,\n      true\n    ]\n  ]\n}'
+        )
+        row = ["é", 2, 0.5, True, None, float("nan")]
+        assert canonical_json((row, np.array(row[1:3]))) == canonical_json(
+            [[np.str_("é"), np.int64(2), np.float64(0.5), np.bool_(True), None,
+              np.float64("nan")], [np.float64(2.0), np.float64(0.5)]]
+        )
+
     def test_numpy_scalars_and_arrays(self):
         assert canonical_json(np.float64(0.5)) == "0.5"
         assert canonical_json(np.int64(3)) == "3"
@@ -140,6 +166,19 @@ class TestReadWrite:
         assert text == canonical_json(doc) + "\n"
         # One chunk at a time; rendering the whole document first needs more
         # than its length.
+        assert peak < len(text) / 4
+
+    def test_long_scalar_list_is_written_in_chunks(self, tmp_path):
+        doc = {"flat": [i + 1 / 64 for i in range(200_000)]}
+        path = tmp_path / "flat.json"
+        tracemalloc.start()
+        try:
+            write_json(doc, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        text = path.read_text()
+        assert text == canonical_json(doc) + "\n"
         assert peak < len(text) / 4
 
     def test_missing_file_is_io_error(self, tmp_path):

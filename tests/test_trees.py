@@ -20,14 +20,19 @@ from yieldcast.trees import (
     fit_cart,
     fit_forest,
     fit_gbm,
-    predict_forest,
     predict_forest_batch,
-    predict_gbm,
     predict_gbm_batch,
-    predict_tree,
     predict_tree_batch,
 )
+from yieldcast import trees
 from yieldcast.trees import _tree_rngs
+from tree_oracles import (
+    gbm_by_feature,
+    grow_by_feature,
+    predict_forest,
+    predict_gbm,
+    predict_tree,
+)
 
 
 class TestBestSplit:
@@ -160,6 +165,89 @@ class TestFitCart:
         assert TreeConfig(min_samples_split=3).split_threshold == 3
 
 
+def mixed_columns(rng, n):
+    """Continuous, integer and one-hot columns; a copy of the first column (a
+    tie the lower feature index must win); a constant column; and two
+    neighbouring doubles, whose midpoint rounds onto the lower one."""
+    low, high = 1.0, np.nextafter(1.0, 2.0)
+    assert (low + high) / 2.0 == low
+    items = rng.integers(0, 4, size=n)
+    base = rng.normal(size=n)
+    x = np.column_stack([
+        base,
+        rng.integers(0, 5, size=n).astype(float),
+        np.eye(4)[items],
+        base,
+        np.full(n, 2.5),
+        np.where(rng.random(n) < 0.5, low, high),
+    ])
+    return x, items
+
+
+def count_calls(monkeypatch, name):
+    """Patch trees.<name> to count its calls; returns the one-element counter."""
+    calls = [0]
+    inner = getattr(trees, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(trees, name, counted)
+    return calls
+
+
+def internal_nodes(node):
+    if isinstance(node, Leaf):
+        return 0
+    return 1 + internal_nodes(node.left) + internal_nodes(node.right)
+
+
+class TestBinnedSplits:
+    def test_cart_and_gbm_equal_the_per_feature_grower(self, monkeypatch):
+        scored = count_calls(monkeypatch, "_bin_split")
+        deferred = count_calls(monkeypatch, "_choose_split")
+
+        def check(x, y, cfg, trial):
+            assert fit_cart(x, y, cfg) == grow_by_feature(x, y, cfg), f"trial {trial}"
+            gcfg = GbmConfig(n_stages=4, learning_rate=0.3, tree=cfg)
+            assert fit_gbm(x, y, gcfg) == gbm_by_feature(x, y, 4, 0.3, cfg), f"trial {trial}"
+
+        rng = np.random.default_rng(909)
+        for trial in range(60):
+            n = int(rng.integers(8, 120))
+            x, items = mixed_columns(rng, n)
+            if trial % 3 == 0:
+                y = rng.integers(0, 4, size=n).astype(float)  # exact ties and zero gains
+            elif trial % 3 == 1:
+                y = 3.0 * x[:, 0] + items + rng.normal(scale=0.3, size=n)
+            else:
+                noise = rng.normal(scale=0.1, size=n) * 10.0 ** rng.integers(-3, 4)
+                y = (x[:, -1] > 1.0) * 7.0 + noise
+            check(x, y, TreeConfig(max_depth=int(rng.integers(1, 9)),
+                                   min_samples_leaf=1 + trial % 5), trial)
+        # Monotone copies of one column induce the same partition, so their
+        # gains tie up to float noise; targets up to 1e6 make that noise large.
+        for trial in range(60, 160):
+            n = int(rng.integers(4, 90))
+            base = rng.normal(size=n)
+            p = int(rng.integers(1, 6))
+            x = np.column_stack([base] + [np.exp(j * base) + j for j in range(1, p)])
+            y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 7)
+            check(x, y, TreeConfig(max_depth=int(rng.integers(1, 9)),
+                                   min_samples_leaf=1 + trial % 5), trial)
+        # both paths ran: some nodes split from their bins, others deferred
+        assert 0 < deferred[0] < scored[0]
+
+    def test_clear_splits_skip_best_split(self, monkeypatch):
+        calls = count_calls(monkeypatch, "best_split")
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=(400, 5))
+        y = 10.0 * (x[:, 0] > 0) + 5.0 * x[:, 1] + rng.normal(scale=0.1, size=400)
+        tree = fit_cart(x, y, TreeConfig(max_depth=6, min_samples_leaf=5))
+        assert calls[0] < internal_nodes(tree) / 4
+
+
 def friedman_like(seed=0, n=120, p=4):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, p))
@@ -177,7 +265,7 @@ class TestForest:
         tcfg = TreeConfig(max_depth=6, min_samples_leaf=2)
         forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False,
                                                features_per_split=4, tree=tcfg))
-        assert forest.trees[0] == fit_cart(x, y, tcfg)
+        assert forest.trees[0] == grow_by_feature(x, y, tcfg)
         np.testing.assert_array_equal(predict_forest_batch(forest, x),
                                       predict_tree_batch(forest.trees[0], x))
 
@@ -225,10 +313,11 @@ class TestForest:
             fit_forest(x, y_bad)
 
     def test_unbagged_one_tree_forest_is_cart_oracle(self):
-        # The level-wise grower against the recursive one, node for node and
-        # bit for bit. Monotone copies of one column induce the same partition
-        # (tied gains that only float noise ranks); integer data gives exact
-        # ties and exact zero-gain nodes; continuous data gives neither.
+        # The level-wise grower against the per-feature recursive one, node
+        # for node and bit for bit. Monotone copies of one column induce the
+        # same partition (tied gains that only float noise ranks); integer
+        # data gives exact ties and exact zero-gain nodes; continuous data
+        # gives neither.
         rng = np.random.default_rng(2024)
         for trial in range(330):
             n = int(rng.integers(4, 70))
@@ -248,7 +337,7 @@ class TestForest:
                              min_samples_leaf=int(rng.integers(1, 4)))
             forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False,
                                                    features_per_split=p, tree=cfg))
-            assert forest.trees[0] == fit_cart(x, y, cfg), f"trial {trial}"
+            assert forest.trees[0] == grow_by_feature(x, y, cfg), f"trial {trial}"
 
     def test_bootstrap_trees_are_cart_on_their_samples(self):
         def same_tree(got, want):
@@ -272,7 +361,7 @@ class TestForest:
                                                    tree=cfg, seed=trial))
             for tree, tree_rng in zip(forest.trees, _tree_rngs(trial, n_trees)):
                 idx = tree_rng.integers(0, n, size=n)
-                same_tree(tree, fit_cart(x[idx], y[idx], cfg))
+                same_tree(tree, grow_by_feature(x[idx], y[idx], cfg))
 
     def test_fit_memory_stays_bounded(self):
         # About 1,200 distinct values in each numeric column, as at full panel

@@ -1,0 +1,79 @@
+"""Plain reference versions of the tree code, used as test oracles.
+
+The scalar predictors route one row at a time; the batch predictors in
+`yieldcast.trees` must agree with them row for row. `grow_by_feature` is the
+recursive grower that calls `best_split` once per node and feature, which
+`fit_cart` and every `fit_gbm` stage must reproduce node for node.
+"""
+from __future__ import annotations
+
+import math
+from typing import Sequence
+
+import numpy as np
+
+from yieldcast.trees import (
+    Forest,
+    GbmModel,
+    Internal,
+    Leaf,
+    TreeConfig,
+    TreeNode,
+    best_split,
+    predict_tree_batch,
+)
+
+
+def predict_tree(t: TreeNode, x_row: Sequence[float]) -> float:
+    """Route one row through the tree (x[feature] <= threshold goes left)."""
+    node = t
+    while isinstance(node, Internal):
+        node = node.left if x_row[node.feature_index] <= node.threshold else node.right
+    return node.value
+
+
+def predict_forest(f: Forest, x_row: Sequence[float]) -> float:
+    """Unweighted mean of member predictions (exact, order-independent)."""
+    return math.fsum(predict_tree(t, x_row) for t in f.trees) / len(f.trees)
+
+
+def predict_gbm(m: GbmModel, x_row: Sequence[float]) -> float:
+    """init + lr * sum of stage outputs; fsum keeps the sum order-invariant."""
+    return m.init_value + m.learning_rate * math.fsum(
+        predict_tree(t, x_row) for t in m.stages
+    )
+
+
+def grow_by_feature(x: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> TreeNode:
+    """CART by one `best_split` call per node and feature; an equal reduction
+    keeps the lower feature index."""
+
+    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+        node_y = y[idx]
+        if depth >= cfg.max_depth or len(idx) < cfg.split_threshold:
+            return Leaf(value=float(node_y.mean()), n_samples=len(idx))
+        best = None  # (reduction, feature, threshold)
+        for f in range(x.shape[1]):
+            found = best_split(x[idx, f], node_y, cfg.min_samples_leaf)
+            if found is not None and (best is None or found[1] > best[0]):
+                best = (found[1], f, found[0])
+        if best is None:
+            return Leaf(value=float(node_y.mean()), n_samples=len(idx))
+        _, f, threshold = best
+        go_left = x[idx, f] <= threshold
+        return Internal(f, threshold, grow(idx[go_left], depth + 1), grow(idx[~go_left], depth + 1))
+
+    return grow(np.arange(len(y)), 0)
+
+
+def gbm_by_feature(x: np.ndarray, y: np.ndarray, n_stages: int, learning_rate: float,
+                   cfg: TreeConfig) -> GbmModel:
+    """Stagewise boosting with `grow_by_feature` stages."""
+    init = float(y.mean())
+    current = np.full(len(y), init)
+    stages = []
+    for _ in range(n_stages):
+        stage = grow_by_feature(x, y - current, cfg)
+        current = current + learning_rate * predict_tree_batch(stage, x)
+        stages.append(stage)
+    return GbmModel(init_value=init, stages=tuple(stages), learning_rate=learning_rate)
