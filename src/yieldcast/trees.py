@@ -5,30 +5,34 @@ midpoint thresholds. Tie-breaking is fixed — smallest threshold within a
 feature, lowest feature index across features — so fits are deterministic
 and reproducible across platforms.
 
-All three growers split over exact bins: each feature's sorted distinct
-training values, with every row's code into them. A boundary between two
-adjacent nonempty bins of a node is exactly a midpoint candidate of
-`best_split`, scored as the same SSE reduction summed in another order.
-Where float noise rather than the data could decide a node — top candidates
-within a relative 1e-9 of each other, or a best gain of at most 1e-9 of the
-node's SSE — the node calls `best_split` over the features in that band
-instead, so every tree is the one `best_split` would grow.
+One scorer, `_bin_split`, finds the splits of all three growers. It works
+over exact bins: each feature's sorted distinct training values, with every
+row's code into them. A boundary between two adjacent nonempty bins of a
+node is exactly a midpoint candidate of `best_split`, scored as the same SSE
+reduction summed in another order. One call scores a batch of nodes: their
+(node, bin) keys are counted on one axis, node after node, by one bincount
+(or, when the keys are fewer than the bins, over the occupied bins only), and
+one segmented cumulative sum scores every candidate of every (node, feature)
+pair. Where float noise rather than the data could decide a node — top
+candidates within a relative 1e-9 of each other, or a best gain of at most
+1e-9 of the node's SSE — the node calls `best_split` over the features in
+that band instead, so every tree is the one `best_split` would grow.
 
-`fit_cart` and each `fit_gbm` stage grow one tree recursively. The bins are
-built once per `fit_cart` call, and once per `fit_gbm` call for all of its
-stages. At a node, one bincount of the node's (row, feature) bins and one
-segmented cumulative sum score every candidate of every feature; a node with
-fewer such keys than there are bins counts only the bins it occupies.
+Two growers call the scorer. `fit_cart` and each `fit_gbm` stage grow one
+tree recursively (`_grow`), one node per call; the bins are built once per
+`fit_cart` call, and once per `fit_gbm` call for all of its stages.
 
-`fit_forest` grows all of its trees together, one depth level at a time.
-Each tree has its own RNG stream, pre-derived from the config seed. The
-stream's first draw is the bootstrap sample, which becomes integer row
-weights, so `min_samples_leaf` and the split threshold count weights as
-duplicated rows would. Each node then draws its own feature subset from
-that stream, in level order (left to right within a depth, depth by depth),
-and splits as `_grow` would on the tree's bootstrap sample given the node's
-subset; a deferring node calls `best_split` on its rows, repeated by weight
-in draw order.
+`fit_forest` grows all of its trees together, one depth level at a time
+(`_Block`), with one call per level for the open nodes of every tree in a
+block. A block holds at most `_BLOCK_KEYS` (tree, row, sampled feature) keys,
+which bounds a level's working memory. Each tree has its own RNG stream,
+pre-derived from the config seed. The stream's first draw is the bootstrap
+sample, which becomes integer row weights, so `min_samples_leaf` and the
+split threshold count weights as duplicated rows would. Each node then
+draws its own feature subset from that stream, in level order (left to
+right within a depth, depth by depth), and splits as `_grow` would on the
+tree's bootstrap sample given the node's subset; a deferring node calls
+`best_split` on its rows, repeated by weight in draw order.
 """
 from __future__ import annotations
 
@@ -40,8 +44,8 @@ import numpy as np
 from .core import fsum_columns
 from .errors import InvalidData
 
-# (tree, row) entries one forest block grows together; bounds per-level working memory
-_BLOCK_ENTRIES = 1 << 16
+# (tree, row, sampled feature) keys one forest block grows together; bounds per-level memory
+_BLOCK_KEYS = 1 << 15
 # relative gain band inside which float noise, not the data, ranks candidates
 _NEAR = 1e-9
 
@@ -165,8 +169,14 @@ def best_split(
     best = int(np.argmax(reduction))  # first max = smallest threshold
     if not legal[best] or reduction[best] <= 0.0:
         return None
-    threshold = (xs[best] + xs[best + 1]) / 2.0
-    return float(threshold), float(reduction[best])
+    return float(_midpoint(xs[best], xs[best + 1])), float(reduction[best])
+
+
+def _midpoint(lo, hi):
+    """Threshold between neighbouring values lo < hi: their midpoint, or lo
+    where the midpoint rounds onto hi, so that `x <= threshold` parts them."""
+    mid = (lo + hi) / 2.0
+    return np.where(mid < hi, mid, lo)
 
 
 def _choose_split(
@@ -186,14 +196,13 @@ def _choose_split(
 
 class _BinTable:
     """Exact bins of all features on one axis: feature f's sorted distinct
-    training values are the bins from start[f] on, `feature` is each bin's
-    feature, and `keys[row, f]` is the row's bin of feature f."""
+    training values are the `size[f]` bins from start[f] on, and
+    `keys[row, f]` is the row's bin of feature f."""
 
     def __init__(self, x: np.ndarray):
         bins = [np.unique(x[:, f], return_inverse=True) for f in range(x.shape[1])]
-        size = np.array([len(values) for values, _ in bins], dtype=np.int64)
-        self.start = np.cumsum(size) - size
-        self.feature = np.repeat(np.arange(len(bins)), size)
+        self.size = np.array([len(values) for values, _ in bins], dtype=np.int64)
+        self.start = np.cumsum(self.size) - self.size
         self.values = np.concatenate([np.empty(0)] + [values for values, _ in bins])
         self.keys = np.empty(x.shape, np.int32)
         for f, (_, codes) in enumerate(bins):
@@ -214,51 +223,103 @@ def _band(top, best, second, sse):
     return np.where(best <= _NEAR * sse, top > -np.inf, (second >= near) & (top >= near))
 
 
-def _bin_split(
-    x: np.ndarray, table: _BinTable, idx: np.ndarray, node_y: np.ndarray, min_samples_leaf: int
-) -> Optional[tuple[int, float]]:
-    """`_choose_split` over all features, scored from one bincount of the node's bins.
+def _bin_split(table, rows, counts, weight, centred, features, sse, min_samples_leaf):
+    """Each node's best split in a batch of nodes, scored from one count of
+    (node, bin) keys.
 
-    A candidate's gain is L^2 * n / (n_l * n_r), L being the centred left
-    sum. A node with fewer (row, feature) keys than the table has bins scores
-    only the bins it occupies. A node inside `_band` defers to `_choose_split`
-    over the band's features.
+    Node j's entries are the next `counts[j]` of `rows`; `weight` is each
+    entry's weight (None: all ones), `centred` its weighted deviation from its
+    node's mean, and `sse` each node's sum of squared deviations. `features`
+    (nodes x m, ascending in each row) holds each node's feature subset; None
+    stands for one node over every feature, whose keys are the table's own.
+    Each (node, feature) pair is a segment holding that feature's bins, laid
+    out node by node on one axis. Keys at least as many as those bins are
+    counted into all of them by one bincount pair; fewer keys count only the
+    bins they occupy. A candidate's gain is L^2 * n / (n_l * n_r), L being
+    the centred left sum from a segmented cumulative sum: `best_split`'s SSE
+    reduction, summed in another order.
+
+    Returns each node's feature (-1 for none) and threshold, and its `_band`
+    row over its features; a node with a feature in its band defers to
+    `_choose_split` over them.
     """
-    n, p = len(idx), table.keys.shape[1]
-    if not p:
-        return None
-    centred = node_y - node_y.mean()
-    keys = table.keys[idx].ravel()
-    if len(keys) < len(table.values):
-        occupied, keys = np.unique(keys, return_inverse=True)
-        values, feature = table.values[occupied], table.feature[occupied]
-        start = np.searchsorted(occupied, table.start)
+    k, p = len(counts), table.keys.shape[1]
+    if features is None:
+        features, size, seg_start = np.arange(p)[None], table.size, table.start
+        base = np.zeros(p, np.intp)
+        keys = table.keys[rows].ravel()
     else:
-        values, feature, start = table.values, table.feature, table.start
-    count = np.bincount(keys, minlength=len(values))
-    sums = np.bincount(keys, np.repeat(centred, p), len(values))
-    left_c = np.cumsum(sums)
-    left_c -= (left_c[start] - sums[start])[feature]
-    left_n = np.cumsum(count) - feature * n  # each feature's bins hold every row once
-    right_n = n - left_n
-    legal = (count > 0) & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = np.where(legal, left_c * left_c * n / (left_n * right_n), -np.inf)
+        size = table.size[features.ravel()]
+        seg_start = size.cumsum() - size  # each segment's first position when all bins are kept
+        base = seg_start - table.start[features.ravel()]  # a key is base + the table's bin
+        node = np.repeat(np.arange(k), counts)
+        keys = np.empty((len(rows), features.shape[1]), np.intp)
+        for i, (f, shift) in enumerate(zip(features.T, base.reshape(k, -1).T)):
+            keys[:, i] = table.keys[rows, f[node]]  # column by column: no (entry, feature) index
+            keys[:, i] += shift[node]
+        keys = keys.ravel()
+        del node
+    m = features.shape[1]
+    if weight is None:
+        total = counts
+    else:
+        weight = weight.astype(float)
+        total = np.add.reduceat(weight, np.cumsum(counts) - counts)
 
-    top = np.maximum.reduceat(gain, start)
-    f = int(np.argmax(top))  # equal gains keep the lower feature index
-    best = top[f]
-    if best == -np.inf:
-        return None
-    lo, hi = start[f], (start[f + 1] if f + 1 < p else len(values))
-    b = lo + int(np.argmax(gain[lo:hi]))  # first max = smallest threshold
-    gain[b] = -np.inf
-    second = max(gain[lo:hi].max(), np.delete(top, f).max(initial=-np.inf))
-    band = _band(top, best, second, float(centred @ centred))
-    if band.any():
-        return _choose_split(x, idx, node_y, np.flatnonzero(band).tolist(), min_samples_leaf)
-    above = b + 1 + int(np.flatnonzero(count[b + 1:hi])[0])
-    return f, float((values[b] + values[above]) / 2.0)
+    n_bins = int(size.sum())
+    if len(keys) < n_bins:
+        occupied = np.sort(keys)
+        occupied = occupied[np.append(True, occupied[1:] != occupied[:-1])]
+        keys = occupied.searchsorted(keys)
+        first = occupied.searchsorted(seg_start)
+        seg_len = np.append(first[1:], len(occupied)) - first
+    else:
+        occupied, first, seg_len = None, seg_start, size
+    left_n = np.bincount(keys, None if weight is None else weight.repeat(m), seg_len.sum())
+    left_c = np.bincount(keys, centred.repeat(m), len(left_n))
+    del keys
+    filled = left_n > 0
+    for a in left_c, left_n:  # cumulative sums within each segment, in place
+        before = a[first]
+        a.cumsum(out=a)
+        a -= (a[first] - before).repeat(seg_len)
+    n = total.repeat(m).repeat(seg_len)
+    left_c *= left_c
+    left_c *= n
+    right_n = n
+    right_n -= left_n
+    legal = filled & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf)
+    left_n *= right_n
+    del right_n, n
+    gain = np.divide(left_c, left_n, out=np.full(len(left_c), -np.inf), where=legal)
+    del left_c, left_n, legal
+
+    top = np.maximum.reduceat(gain, first)
+    hit = np.flatnonzero(gain == top.repeat(seg_len))
+    at = hit[hit.searchsorted(first)]  # each segment's first max = smallest threshold
+    gain[at] = -np.inf
+    runner_up = np.maximum.reduceat(gain, first)
+    del gain, hit
+
+    seg = np.arange(0, k * m, m) + top.reshape(k, m).argmax(axis=1)  # ties keep the lower feature
+    best = top[seg]
+    rival = top.copy()
+    rival[seg] = runner_up[seg]
+    second = np.maximum.reduce(rival.reshape(k, m), 1)
+    band = _band(top.reshape(k, m), best[:, None], second[:, None], sse[:, None])
+
+    split = best > -np.inf
+    feature = np.where(split, features.ravel()[seg], -1)
+    seg = seg[split]
+    b = at[seg]
+    if occupied is None:  # the next bin this node occupies
+        nonzero = np.flatnonzero(filled)
+        above = nonzero[nonzero.searchsorted(b, "right")]
+    else:
+        b, above = occupied[b], occupied[b + 1]
+    threshold = np.zeros(k)
+    threshold[split] = _midpoint(table.values[b - base[seg]], table.values[above - base[seg]])
+    return feature, threshold, band
 
 
 def _grow(
@@ -268,7 +329,16 @@ def _grow(
     n = len(idx)
     if depth >= cfg.max_depth or n < cfg.split_threshold or node_y.min() == node_y.max():
         return Leaf(value=float(node_y.mean()), n_samples=n)
-    best = _bin_split(x, table, idx, node_y, cfg.min_samples_leaf)
+    centred = node_y - node_y.mean()
+    feature, threshold, band = _bin_split(
+        table, idx, np.array([n]), None, centred, None, np.array([centred @ centred]),
+        cfg.min_samples_leaf,
+    )
+    if band.any():
+        best = _choose_split(x, idx, node_y, np.flatnonzero(band[0]).tolist(),
+                             cfg.min_samples_leaf)
+    else:
+        best = None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
     if best is None:
         return Leaf(value=float(node_y.mean()), n_samples=n)
 
@@ -322,66 +392,6 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1], dtype=np.int32) + np.repeat(offsets, lengths)
 
 
-def _score_feature(
-    table: _BinTable,
-    f: int,
-    order: np.ndarray,
-    rows: np.ndarray,
-    weight: np.ndarray,
-    centred: np.ndarray,
-    starts: np.ndarray,
-    counts: np.ndarray,
-    total: np.ndarray,
-    min_samples_leaf: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best and runner-up gain, and the best threshold, of feature f per node.
-
-    The nodes are position ranges (`starts`, `counts`) of `order`, a level's
-    node-grouped list of entries; `rows`, `weight` and `centred` (weighted
-    deviation from the node mean) are indexed by entry, and `total` is each
-    node's weight. Sorting each node's entries by bin makes every boundary
-    between adjacent nonempty bins a candidate, scored from segmented
-    cumulative sums as L^2 * n / (n_l * n_r), L being the centred left sum:
-    `best_split`'s SSE reduction, summed in another order.
-    """
-    values = table.values
-    ent = order[_ranges(starts, counts)]
-    node = np.repeat(np.arange(len(counts), dtype=np.int32), counts)
-    code = table.keys[rows[ent], f]
-    by_bin = np.argsort(node.astype(np.int64) * len(values) + code, kind="stable")
-    ent, code = ent[by_bin], code[by_bin]
-    del by_bin
-
-    first = np.cumsum(counts) - counts
-    w = weight[ent]
-    left_w = np.cumsum(w)
-    left_w -= np.repeat(left_w[first] - w[first], counts)
-    del w
-    c = centred[ent]
-    del ent
-    left_c = np.cumsum(c)
-    left_c -= np.repeat(left_c[first] - c[first], counts)
-    del c
-    node_w = np.repeat(total, counts)
-    right_w = node_w - left_w
-    legal = (left_w >= min_samples_leaf) & (right_w >= min_samples_leaf)
-    legal[:-1] &= code[1:] != code[:-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        left_c *= left_c
-        left_c *= node_w
-        left_w *= right_w
-        gain = np.where(legal, left_c / left_w, -np.inf)
-    del left_c, left_w, node_w, right_w, legal
-
-    top = np.maximum.reduceat(gain, first)
-    hit = np.flatnonzero(gain == top[node])
-    at = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]  # first max = smallest threshold
-    gain[at] = -np.inf
-    runner_up = np.maximum.reduceat(gain, first)
-    threshold = (values[code[at]] + values[code[np.minimum(at + 1, len(code) - 1)]]) / 2.0
-    return top, runner_up, threshold
-
-
 class _Block:
     """Trees grown together, one depth level at a time.
 
@@ -400,7 +410,6 @@ class _Block:
         self.sizes = np.array([np.count_nonzero(w) for w in weights])
         self.e_row = np.concatenate([np.flatnonzero(w) for w in weights]).astype(np.int32)
         self.e_w = np.concatenate([w[w > 0] for w in weights]).astype(np.int32)
-        self.e_centred = np.empty(len(self.e_row))
         self.base = np.cumsum(self.sizes) - self.sizes
 
     def _draw_entries(self, t: int) -> np.ndarray:
@@ -463,45 +472,26 @@ class _Block:
                 self.rngs[t].random((c, p))
                 for t, c in enumerate(np.bincount(slot_tree[open_]).tolist()) if c
             ])
-            sampled = np.zeros((k, p), dtype=bool)
-            sampled[np.arange(k)[:, None], np.argsort(keys, axis=1, kind="stable")[:, :m]] = True
+            features = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m], axis=1)
         else:
-            sampled = np.ones((k, p), dtype=bool)
+            features = np.arange(p)[None].repeat(k, axis=0)
 
-        dev = self.y[self.e_row[order]]
-        centred = self.e_w[order] * dev
-        dev -= (np.add.reduceat(centred, starts) / total)[slot]
-        centred = self.e_w[order] * dev
-        sse = np.add.reduceat(centred * dev, starts)[open_]
-        self.e_centred[order] = centred
-        del centred, dev
-        best = np.full(k, -np.inf)
-        second = np.full(k, -np.inf)
-        best_f = np.full(k, -1)
-        best_t = np.zeros(k)
-        top_by_f = np.full((k, p), -np.inf)
-        for f in range(p):
-            on = np.flatnonzero(sampled[:, f])
-            if not len(on):
-                continue
-            at = open_[on]
-            top, runner_up, thr = _score_feature(
-                self.table, f, order, self.e_row, self.e_w, self.e_centred,
-                starts[at], counts[at], total[at], self.cfg.min_samples_leaf,
-            )
-            top_by_f[on, f] = top
-            was = best[on]
-            better = top > was  # equal gains keep the lower feature index
-            second[on] = np.where(better, np.maximum(was, runner_up), np.maximum(second[on], top))
-            best[on] = np.where(better, top, was)
-            best_f[on] = np.where(better, f, best_f[on])
-            best_t[on] = np.where(better, thr, best_t[on])
-
-        band = _band(top_by_f, best[:, None], second[:, None], sse[:, None])
+        counts = counts[open_]
+        first = np.cumsum(counts) - counts
+        node = np.repeat(np.arange(k), counts)
+        ent = order[_ranges(starts[open_], counts)]
+        rows, w = self.e_row[ent], self.e_w[ent]
+        dev = self.y[rows]
+        centred = w * dev
+        dev -= (np.add.reduceat(centred, first) / total[open_])[node]
+        centred = w * dev
+        sse = np.add.reduceat(centred * dev, first)
+        del dev, node
+        f, thr, band = _bin_split(self.table, rows, counts, w, centred, features, sse,
+                                  self.cfg.min_samples_leaf)
         deferred = band.any(axis=1)
-        clear = (best > -np.inf) & ~deferred
-        feature[open_[clear]] = best_f[clear]
-        threshold[open_[clear]] = best_t[clear]
+        feature[open_] = np.where(deferred, -1, f)
+        threshold[open_] = thr
         if not deferred.any():
             return
         e_slot = np.full(len(self.e_row), -1, dtype=np.int32)
@@ -510,7 +500,7 @@ class _Block:
             s = open_[i]
             t = slot_tree[s]
             rows = self.draws[t][e_slot[self._draw_entries(t)] == s]
-            choice = _choose_split(self.x, rows, self.y[rows], np.flatnonzero(band[i]).tolist(),
+            choice = _choose_split(self.x, rows, self.y[rows], features[i][band[i]].tolist(),
                                    self.cfg.min_samples_leaf)
             if choice is not None:
                 feature[s], threshold[s] = choice
@@ -551,14 +541,16 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     draw of its generator, `rng.integers(0, n, size=n)`), except that each
     node considers only its own draw of `features_per_split` features. The
     sample is kept as integer row weights, and the trees are grown together
-    level by level in blocks of at most `_BLOCK_ENTRIES` (tree, row) entries.
-    Every node draws its subset from its tree's generator in level order: all
-    nodes of one depth, left to right, before the next depth. Splits come from
-    presorted bins of distinct training values and are exactly `best_split`'s
-    candidates; a node whose top candidates lie within a relative 1e-9 of each
-    other, or whose best gain is at most 1e-9 of its SSE, defers to
-    `best_split` over the features in that band, on its rows repeated by
-    weight in draw order. Leaf values are the numpy mean of those rows.
+    level by level in blocks of at most `_BLOCK_KEYS` (tree, row, sampled
+    feature) keys; `_bin_split` scores all open nodes of a block's level in
+    one call. Every node draws its subset from its tree's generator in level
+    order: all nodes of one depth, left to right, before the next depth.
+    Splits come from bins of distinct training values and are exactly
+    `best_split`'s candidates; a node whose top candidates lie within a
+    relative 1e-9 of each other, or whose best gain is at most 1e-9 of its
+    SSE, defers to `best_split` over the features in that band, on its rows
+    repeated by weight in draw order. Leaf values are the numpy mean of those
+    rows.
     """
     x, y = _training_arrays(x, y, 2)
     n, p = x.shape
@@ -569,16 +561,16 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     table = _BinTable(x)
     trees: list[TreeNode] = []
     block: list[tuple[np.random.Generator, np.ndarray]] = []
-    entries = 0
+    keys = 0
     for rng in _tree_rngs(cfg.seed, cfg.n_trees):
         draw = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
         draw = draw.astype(np.int32)
-        size = np.count_nonzero(np.bincount(draw, minlength=n))
-        if block and entries + size > _BLOCK_ENTRIES:
+        size = np.count_nonzero(np.bincount(draw, minlength=n)) * m
+        if block and keys + size > _BLOCK_KEYS:
             trees += _assemble(*_Block(x, y, table, block, m, cfg.tree).grow())
-            block, entries = [], 0
+            block, keys = [], 0
         block.append((rng, draw))
-        entries += size
+        keys += size
     trees += _assemble(*_Block(x, y, table, block, m, cfg.tree).grow())
     return Forest(trees=tuple(trees), config=cfg)
 

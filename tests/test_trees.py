@@ -27,6 +27,7 @@ from yieldcast.trees import (
 from yieldcast import trees
 from yieldcast.trees import _tree_rngs
 from tree_oracles import (
+    forest_by_feature,
     gbm_by_feature,
     grow_by_feature,
     predict_forest,
@@ -248,6 +249,25 @@ class TestBinnedSplits:
         assert calls[0] < internal_nodes(tree) / 4
 
 
+def test_midpoint_rounding_onto_the_upper_value_takes_the_lower():
+    # The midpoint of these neighbouring doubles rounds onto the upper one,
+    # so a midpoint threshold would send every row left.
+    a = np.nextafter(1.0, 2.0)
+    b = np.nextafter(a, 2.0)
+    assert (a + b) / 2.0 == b
+    x = np.array([[a], [a], [b], [b]])
+    y = np.array([0.0, 0.0, 10.0, 10.0])
+    cfg = TreeConfig(max_depth=2, min_samples_leaf=1)
+    split = Internal(0, a, Leaf(0.0, 2), Leaf(10.0, 2))
+    assert best_split(x[:, 0], y, 1)[0] == a
+    assert fit_cart(x, y, cfg) == split
+    gbm = fit_gbm(x, y, GbmConfig(n_stages=1, learning_rate=1.0, tree=cfg))
+    assert gbm.stages == (Internal(0, a, Leaf(-5.0, 2), Leaf(5.0, 2)),)
+    forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False, features_per_split=1,
+                                           tree=cfg))
+    assert forest.trees == (split,)
+
+
 def friedman_like(seed=0, n=120, p=4):
     rng = np.random.default_rng(seed)
     x = rng.uniform(size=(n, p))
@@ -362,6 +382,39 @@ class TestForest:
             for tree, tree_rng in zip(forest.trees, _tree_rngs(trial, n_trees)):
                 idx = tree_rng.integers(0, n, size=n)
                 same_tree(tree, grow_by_feature(x[idx], y[idx], cfg))
+
+    def test_feature_subsets_equal_the_per_node_oracle(self, monkeypatch):
+        # Each node's own features_per_split < p subset, node for node: the
+        # generator replay of forest_by_feature against the level-wise grower.
+        # Monotone copies of one column tie up to float noise; integer data
+        # ties exactly.
+        def check(x, y, cfg, trial):
+            assert fit_forest(x, y, cfg).trees == forest_by_feature(x, y, cfg), f"trial {trial}"
+
+        rng = np.random.default_rng(77)
+        for trial in range(90):
+            n, p = int(rng.integers(10, 80)), int(rng.integers(2, 7))
+            kind = trial % 3
+            if kind == 0:
+                base = rng.normal(size=n)
+                x = np.column_stack([base] + [np.exp(j * base) + j for j in range(1, p)])
+                y = rng.normal(size=n) * 10.0 ** rng.integers(-3, 6)
+            elif kind == 1:
+                x = rng.integers(0, 5, size=(n, p)).astype(float)
+                y = rng.integers(0, 8, size=n).astype(float)
+            else:
+                x = rng.normal(size=(n, p))
+                y = np.sin(3 * x[:, 0]) + x[:, -1] + rng.normal(scale=0.1, size=n)
+            tcfg = TreeConfig(max_depth=int(rng.integers(1, 9)),
+                              min_samples_leaf=int(rng.integers(1, 4)))
+            check(x, y, ForestConfig(n_trees=int(rng.integers(1, 6)),
+                                     features_per_split=int(rng.integers(1, p)),
+                                     bootstrap=trial % 4 != 0, tree=tcfg, seed=trial), trial)
+        # a budget below one tree's keys grows every tree in a block of its own
+        monkeypatch.setattr(trees, "_BLOCK_KEYS", 64)
+        x, y = friedman_like(seed=4, n=90, p=5)
+        tcfg = TreeConfig(max_depth=6, min_samples_leaf=2)
+        check(x, y, ForestConfig(n_trees=7, features_per_split=2, tree=tcfg, seed=5), "blocks")
 
     def test_fit_memory_stays_bounded(self):
         # About 1,200 distinct values in each numeric column, as at full panel

@@ -3,7 +3,9 @@
 The scalar predictors route one row at a time; the batch predictors in
 `yieldcast.trees` must agree with them row for row. `grow_by_feature` is the
 recursive grower that calls `best_split` once per node and feature, which
-`fit_cart` and every `fit_gbm` stage must reproduce node for node.
+`fit_cart` and every `fit_gbm` stage must reproduce node for node;
+`forest_by_feature` does the same for `fit_forest` with per-node feature
+subsets.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import numpy as np
 
 from yieldcast.trees import (
     Forest,
+    ForestConfig,
     GbmModel,
     Internal,
     Leaf,
@@ -77,3 +80,56 @@ def gbm_by_feature(x: np.ndarray, y: np.ndarray, n_stages: int, learning_rate: f
         current = current + learning_rate * predict_tree_batch(stage, x)
         stages.append(stage)
     return GbmModel(init_value=init, stages=tuple(stages), learning_rate=learning_rate)
+
+
+def forest_by_feature(x: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> tuple[TreeNode, ...]:
+    """Each tree of `fit_forest`, replayed from its generator with `best_split`.
+
+    A tree's generator first draws the bootstrap sample (all rows in order
+    without bootstrap). Then, depth by depth, when a tree has open nodes
+    and `features_per_split` m is below p, it draws one `rng.random((open
+    nodes, p))`; row i keys the i-th open node from the left, which takes the
+    features of its m smallest keys. A node splits by `best_split` on its
+    rows in draw order, an equal reduction keeping the lower feature.
+    """
+    n, p = x.shape
+    m = cfg.features_per_split if cfg.features_per_split is not None else max(1, p // 3)
+    tcfg = cfg.tree
+    trees = []
+    for seed in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(seed)
+        root = {"rows": rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)}
+        level, depth = [root], 0
+        while level:
+            open_ = [
+                node for node in level
+                if depth < tcfg.max_depth and len(node["rows"]) >= tcfg.split_threshold
+                and np.ptp(y[node["rows"]]) > 0
+            ]
+            keys = rng.random((len(open_), p)) if open_ and m < p else None
+            level = []
+            for i, node in enumerate(open_):
+                rows = node["rows"]
+                features = range(p)
+                if keys is not None:
+                    features = np.sort(np.argsort(keys[i], kind="stable")[:m])
+                best = None  # (reduction, feature, threshold)
+                for f in features:
+                    found = best_split(x[rows, f], y[rows], tcfg.min_samples_leaf)
+                    if found is not None and (best is None or found[1] > best[0]):
+                        best = (found[1], int(f), found[0])
+                if best is not None:
+                    go_left = x[rows, best[1]] <= best[2]
+                    node["split"] = best[1:]
+                    node["children"] = ({"rows": rows[go_left]}, {"rows": rows[~go_left]})
+                    level += node["children"]
+            depth += 1
+        trees.append(_tree_of(root, y))
+    return tuple(trees)
+
+
+def _tree_of(node: dict, y: np.ndarray) -> TreeNode:
+    if "split" not in node:
+        return Leaf(value=float(y[node["rows"]].mean()), n_samples=len(node["rows"]))
+    left, right = node["children"]
+    return Internal(*node["split"], _tree_of(left, y), _tree_of(right, y))
