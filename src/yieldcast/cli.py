@@ -50,7 +50,8 @@ KNN_K = 5
 MODEL_FITS = {
     "ols": lambda x, y, mask, names, seed: fit_ols(x, y, feature_names=names),
     "sgd": lambda x, y, mask, names, seed: fit_sgd(
-        x, y, SgdConfig(seed=seed), passthrough=mask, feature_names=names
+        x, y, SgdConfig(epochs=200, average_from=100, seed=seed),
+        passthrough=mask, feature_names=names,
     ),
     "cart": lambda x, y, mask, names, seed: fit_cart(x, y, TreeConfig()),
     "gbm": lambda x, y, mask, names, seed: fit_gbm(x, y, GbmConfig()),

@@ -272,6 +272,19 @@ class TestModelRoundTrip:
                                       models["sgd"].scaler.means)
         assert loaded.metadata["config"] == models["sgd"].metadata["config"]
 
+    def test_sgd_file_without_average_from_loads(self, fitted_models, tmp_path):
+        # files written before SgdConfig.average_from existed lack the key
+        models, x = fitted_models
+        path = tmp_path / "sgd.json"
+        save_model(models["sgd"], path)
+        doc = read_json(path)
+        del doc["fit_metadata"]["config"]["average_from"]
+        write_json(doc, path)
+        loaded = load_model(path)
+        assert model_kind_of(loaded) == "sgd"
+        np.testing.assert_array_equal(predict_model(loaded, x),
+                                      predict_model(models["sgd"], x))
+
     def test_version_gate(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "m.json"

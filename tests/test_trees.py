@@ -424,6 +424,9 @@ class TestForest:
         items = rng.integers(0, 10, size=n)
         x = np.column_stack([rng.normal(size=(n, 3)), np.eye(10)[items]])
         y = 1e4 * (x[:, 0] * (items % 3) + np.sin(x[:, 1])) + rng.normal(size=n)
+        # NumPy imports numpy.ma lazily on first use (about 0.6 MB); import it
+        # first so the reading does not depend on which tests ran before
+        import numpy.ma  # noqa: F401
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
