@@ -412,25 +412,35 @@ def cmd_cv(args) -> int:
 # ----------------------------------------------------------------- predict
 
 
+def _named_rows(path: str | Path, rows):
+    """The rows of `rows`, naming path in any FormatError reading them raises."""
+    try:
+        yield from rows
+    except FormatError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+
+
 def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
-    rows = _parse(path, _read_bytes(path), lambda data: list(ingest.csv_rows(data)))
-    if not rows:
+    rows = _named_rows(path, ingest.csv_rows(_read_bytes(path)))
+    _, header = next(rows, (None, None))
+    if header is None:
         raise FormatError(f"{path}: empty input")
-    header = [c.strip() for c in rows[0][1]]
-    data = []
-    for i, row in rows[1:]:
+    header = [c.strip() for c in header]
+    lines, data = [], []
+    for i, row in rows:
         if len(row) != len(header):
             raise FormatError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
         try:
-            data.append([float(c) for c in row])
+            data.append(list(map(float, row)))
         except ValueError as exc:
             raise FormatError(f"{path}:{i}: non-numeric cell: {exc}") from exc
+        lines.append(i)
     if not data:
         raise FormatError(f"{path}: no data rows")
     x = np.array(data)
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if len(bad):
-        raise InvalidData(f"{path}:{rows[bad[0] + 1][0]}: non-finite cell")
+        raise InvalidData(f"{path}:{lines[bad[0]]}: non-finite cell")
     return header, x
 
 

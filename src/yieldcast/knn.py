@@ -5,6 +5,12 @@ distance; one-hot columns pass through unscaled, which fixes the distance
 between any two distinct categories at sqrt(2). The linear scan is the
 reference behaviour, not a placeholder for a spatial index: with stable
 argsort, ties in distance resolve to the lowest training-row index.
+
+The scan runs over blocks of queries, at most `_BLOCK_CELLS` (query,
+training row, feature) cells each, so its temporaries stay bounded. Each
+query's distances are the same sum over its own feature axis as a one-row
+scan, so distances and tie order do not depend on the block; `neighbors`
+and `predict_knn` are the one-row case of the same scan.
 """
 from __future__ import annotations
 
@@ -16,6 +22,9 @@ import numpy as np
 
 from .core import Scaler, apply_scaler, fit_scaler
 from .errors import InsufficientRows, InvalidConfig, InvalidData, ShapeError
+
+# (query, training row, feature) cells one block of the scan holds
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -63,6 +72,15 @@ def fit_knn(
     )
 
 
+def _nearest(m: KnnModel, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of each scaled query row's k nearest training
+    rows, nearest first (queries x k)."""
+    diff = m.x_train - scaled[:, None, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    order = np.argsort(dist, axis=1, kind="stable")[:, : m.k]
+    return order, np.take_along_axis(dist, order, axis=1)
+
+
 def neighbors(m: KnnModel, x_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the k nearest training rows, nearest first.
 
@@ -74,17 +92,14 @@ def neighbors(m: KnnModel, x_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(
             f"query has {x_row.shape} but model expects ({m.x_train.shape[1]},)"
         )
-    scaled = apply_scaler(m.scaler, x_row.reshape(1, -1))[0]
-    diff = m.x_train - scaled
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
-    order = np.argsort(dist, kind="stable")[: m.k]
-    return order, dist[order]
+    order, dist = _nearest(m, apply_scaler(m.scaler, x_row.reshape(1, -1)))
+    return order[0], dist[0]
 
 
 def predict_knn(m: KnnModel, x_row: np.ndarray) -> float:
     """Unweighted mean target over the k nearest neighbours."""
     idx, _ = neighbors(m, x_row)
-    return math.fsum(m.y_train[idx]) / m.k
+    return math.fsum(m.y_train[idx].tolist()) / m.k
 
 
 def predict_knn_batch(m: KnnModel, x: np.ndarray) -> np.ndarray:
@@ -93,7 +108,13 @@ def predict_knn_batch(m: KnnModel, x: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"query has shape {x.shape} but model expects (*, {m.x_train.shape[1]})"
         )
-    return np.array([predict_knn(m, row) for row in x])
+    scaled = apply_scaler(m.scaler, x)
+    step = max(1, _BLOCK_CELLS // max(1, m.x_train.size))
+    out = np.empty(len(x))
+    for a in range(0, len(x), step):
+        idx, _ = _nearest(m, scaled[a : a + step])
+        out[a : a + step] = [math.fsum(ys) / m.k for ys in m.y_train[idx].tolist()]
+    return out
 
 
 __all__ = ["KnnModel", "fit_knn", "neighbors", "predict_knn", "predict_knn_batch"]

@@ -365,19 +365,40 @@ def fit_cart(x: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> Tr
     return _grow(x, y, _BinTable(x), np.arange(len(y)), 0, cfg)
 
 
-def predict_tree_batch(t: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Route every row of x through the tree (x[feature] <= threshold goes left)."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty(x.shape[0])
-    stack = [(t, np.arange(x.shape[0]))]
+def _columns(x) -> np.ndarray:
+    """Column-major float copy of a row matrix: `cols[f]` is feature f's column."""
+    return np.ascontiguousarray(np.asarray(x, dtype=float).T)
+
+
+def _route(t: TreeNode, cols: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Leaf value of every row, routed over feature columns `cols` (features x
+    rows; cols[feature] <= threshold goes left), written into `out`."""
+    if out is None:
+        out = np.empty(cols.shape[1])
+    stack = [(t, np.arange(cols.shape[1]))]
     while stack:
         node, idx = stack.pop()
         if isinstance(node, Leaf):
             out[idx] = node.value
             continue
-        go_left = x[idx, node.feature_index] <= node.threshold
-        stack.append((node.left, idx[go_left]))
-        stack.append((node.right, idx[~go_left]))
+        go_left = cols[node.feature_index].take(idx) <= node.threshold
+        stack.append((node.left, idx.compress(go_left)))
+        stack.append((node.right, idx.compress(~go_left)))
+    return out
+
+
+def predict_tree_batch(t: TreeNode, x: np.ndarray) -> np.ndarray:
+    """Route every row of x through the tree (x[feature] <= threshold goes left)."""
+    return _route(t, _columns(x))
+
+
+def _route_members(members, x: np.ndarray) -> np.ndarray:
+    """Each member tree's predictions of the rows of x: one row each of a
+    (members x rows) matrix, all routed over one column-major copy of x."""
+    cols = _columns(x)
+    out = np.empty((len(members), cols.shape[1]))
+    for t, row in zip(members, out):
+        _route(t, cols, row)
     return out
 
 
@@ -576,9 +597,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
 
 
 def predict_forest_batch(f: Forest, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    member = np.stack([predict_tree_batch(t, x) for t in f.trees])
-    return fsum_columns(member) / len(f.trees)
+    return fsum_columns(_route_members(f.trees, x)) / len(f.trees)
 
 
 def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmModel:
@@ -586,21 +605,20 @@ def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmMo
     x, y = _training_arrays(x, y, 2)
 
     table = _BinTable(x)  # x is the same in every stage
+    cols = _columns(x)
     rows = np.arange(len(y))
     init = float(y.mean())
     current = np.full(len(y), init)
     stages = []
     for _ in range(cfg.n_stages):
         stage = _grow(x, y - current, table, rows, 0, cfg.tree)
-        current = current + cfg.learning_rate * predict_tree_batch(stage, x)
+        current = current + cfg.learning_rate * _route(stage, cols)
         stages.append(stage)
     return GbmModel(init_value=init, stages=tuple(stages), learning_rate=cfg.learning_rate)
 
 
 def predict_gbm_batch(m: GbmModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    stage_out = np.stack([predict_tree_batch(t, x) for t in m.stages])
-    return m.init_value + m.learning_rate * fsum_columns(stage_out)
+    return m.init_value + m.learning_rate * fsum_columns(_route_members(m.stages, x))
 
 
 __all__ = [

@@ -10,7 +10,7 @@ import synth
 from yieldcast import cli, persist
 from yieldcast.cli import main
 from yieldcast.evaluate import METRIC_NAMES
-from yieldcast.trees import Internal, Leaf
+from yieldcast.trees import Forest, ForestConfig, GbmModel, Internal, Leaf
 
 
 @pytest.fixture(scope="module")
@@ -379,18 +379,29 @@ class TestPredict:
             assert rc == 0
         assert (tmp_path / "bom.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
 
-    def test_tree_feature_index_out_of_range(self, tmp_path):
-        model_path = tmp_path / "cart.json"
-        persist.save_model(
-            Internal(feature_index=3, threshold=0.5,
-                     left=Leaf(1.0, 1), right=Leaf(2.0, 1)),
-            model_path,
-        )
+    def test_tree_feature_index_out_of_range(self, tmp_path, capsys):
+        tree = Internal(feature_index=3, threshold=0.5,
+                        left=Leaf(1.0, 1), right=Leaf(2.0, 1))
+        forest = Forest(trees=(Leaf(0.0, 1), tree), config=ForestConfig(n_trees=2))
+        models = {
+            "cart": tree,
+            "forest": forest,
+            "gbm": GbmModel(init_value=0.0, stages=(Leaf(0.0, 1), tree), learning_rate=0.1),
+            "ensemble": persist.EnsembleModel(members=(("cart", Leaf(0.0, 1)),
+                                                       ("forest", forest))),
+        }
         inp = tmp_path / "rows.csv"
         write_feature_csv(inp, ["x"], [[1.0], [2.0]])
-        rc = main(["predict", "--model", str(model_path),
-                   "--input", str(inp), "--out", str(tmp_path / "p.csv")])
-        assert rc == 2
+        for kind, model in models.items():
+            model_path = tmp_path / f"{kind}.json"
+            persist.save_model(model, model_path)
+            out = tmp_path / f"{kind}.csv"
+            rc = main(["predict", "--model", str(model_path),
+                       "--input", str(inp), "--out", str(out)])
+            assert rc == 2, kind
+            err = capsys.readouterr().err
+            assert "too few columns" in err and "Traceback" not in err, kind
+            assert not out.exists(), kind
 
 
 @pytest.mark.parametrize("reader", ["predict --model", "cv --config", "cv --panel"])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from yieldcast import core
 from yieldcast.core import (
     ClimateRecord,
     FaoRecord,
@@ -18,6 +19,7 @@ from yieldcast.core import (
     apply_scaler,
     build_feature_matrix,
     fit_scaler,
+    fsum_columns,
     train_test_split,
 )
 from yieldcast.errors import (
@@ -243,3 +245,27 @@ class TestTrainTestSplit:
     def test_fraction_bounds(self, fraction):
         with pytest.raises(InvalidConfig):
             train_test_split(grid_matrix(4), fraction, seed=0)
+
+
+class TestFsumColumns:
+    @staticmethod
+    def oracle(stack):
+        return [math.fsum(stack[:, j]) for j in range(stack.shape[1])]
+
+    @pytest.mark.parametrize("shape", [(1, 37), (37, 1), (7, 40), (3, 1000)])
+    def test_equals_per_column_fsum_across_blocks(self, monkeypatch, shape):
+        # 64 cells a block: 1 to 64 columns per block, the last one ragged
+        monkeypatch.setattr(core, "_FSUM_BLOCK_CELLS", 64)
+        rng = np.random.default_rng(1)
+        stack = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 9, size=shape)
+        assert fsum_columns(stack).tolist() == self.oracle(stack)
+
+    def test_wider_than_one_default_block(self):
+        rng = np.random.default_rng(2)
+        stack = rng.normal(size=(3, core._FSUM_BLOCK_CELLS))
+        assert fsum_columns(stack).tolist() == self.oracle(stack)
+
+    def test_cancelling_values_sum_exactly(self):
+        stack = np.array([[1e16, 1.0, 3.0], [1.0, -1e16, 0.1], [-1e16, 1e16, 0.2]])
+        assert fsum_columns(stack).tolist() == [1.0, 1.0, math.fsum([3.0, 0.1, 0.2])]
+        assert sum([3.0, 0.1, 0.2]) != math.fsum([3.0, 0.1, 0.2])

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from yieldcast import knn
 from yieldcast.core import apply_scaler
 from yieldcast.errors import InsufficientRows, InvalidConfig, InvalidData, ShapeError
 from yieldcast.knn import KnnModel, fit_knn, neighbors, predict_knn, predict_knn_batch
@@ -43,6 +44,32 @@ class TestPredict:
                 dist = np.sqrt(np.sum(diff * diff, axis=1))
                 idx = np.argsort(dist, kind="stable")[:k]
                 assert predict_knn(m, q) == math.fsum(y[idx]) / k
+
+    @pytest.mark.parametrize("queries_per_block", [1, 2, 3, 7, 100])
+    def test_blocked_batch_equals_the_row_oracle(self, monkeypatch, queries_per_block):
+        # 13 features, as in the panel, so numpy's pairwise row sum is not a
+        # plain left-to-right one; rows 10-19 repeat rows 0-9, so every query
+        # has exact distance ties; 23 queries leave a ragged last block at
+        # block sizes 2, 3 and 7
+        rng = np.random.default_rng(5)
+        scale = 10.0 ** rng.integers(-3, 4, size=13)
+        x, y = rng.normal(size=(30, 13)) * scale, rng.normal(size=30)
+        x[10:20] = x[:10]
+        queries = np.concatenate([x[:8], rng.normal(size=(15, 13)) * scale])
+        for k in (1, 3, 30):
+            m = fit_knn(x, y, k=k)
+            monkeypatch.setattr(knn, "_BLOCK_CELLS", queries_per_block * m.x_train.size)
+            expected = []
+            for q in queries:
+                scaled = apply_scaler(m.scaler, q.reshape(1, -1))[0]
+                diff = m.x_train - scaled
+                dist = np.sqrt(np.sum(diff * diff, axis=1))
+                idx = np.argsort(dist, kind="stable")[:k]
+                expected.append(math.fsum(y[idx]) / k)
+                got_idx, got_dist = neighbors(m, q)
+                assert got_idx.tolist() == idx.tolist()
+                assert got_dist.tolist() == dist[idx].tolist()
+            assert predict_knn_batch(m, queries).tolist() == expected
 
     def test_distance_ties_keep_lowest_row_index(self):
         m = fit_knn(np.array([[0.0], [0.0], [1.0]]), np.array([1.0, 2.0, 3.0]), k=1)

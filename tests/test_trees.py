@@ -166,6 +166,47 @@ class TestFitCart:
         assert TreeConfig(min_samples_split=3).split_threshold == 3
 
 
+def random_tree(rng, p, grid, depth):
+    """A random tree over p features whose thresholds are values of `grid`."""
+    if depth == 0 or rng.random() < 0.2:
+        return Leaf(value=float(rng.normal()), n_samples=1)
+    return Internal(feature_index=int(rng.integers(p)), threshold=float(rng.choice(grid)),
+                    left=random_tree(rng, p, grid, depth - 1),
+                    right=random_tree(rng, p, grid, depth - 1))
+
+
+def predict_recursive(t, x_row):
+    if isinstance(t, Leaf):
+        return t.value
+    return predict_recursive(t.left if x_row[t.feature_index] <= t.threshold else t.right, x_row)
+
+
+class TestRoute:
+    def test_route_equals_the_recursive_oracle(self):
+        # queries on the thresholds' own grid: many rows sit exactly on a threshold
+        rng = np.random.default_rng(21)
+        grid = np.round(rng.normal(size=9), 2)
+        for p in (1, 4):
+            x = rng.choice(grid, size=(200, p))
+            x[::7] += 0.005  # and some rows between grid values
+            cols = trees._columns(x)
+            for _ in range(20):
+                tree = random_tree(rng, p, grid, depth=6)
+                expected = [predict_recursive(tree, row) for row in x]
+                assert trees._route(tree, cols).tolist() == expected
+                assert predict_tree_batch(tree, x).tolist() == expected
+
+    def test_forest_and_gbm_route_every_member_over_one_copy(self):
+        rng = np.random.default_rng(22)
+        grid = np.arange(-3.0, 4.0)
+        x = rng.choice(grid, size=(150, 3))
+        members = tuple(random_tree(rng, 3, grid, depth=5) for _ in range(6))
+        forest = Forest(trees=members, config=ForestConfig(n_trees=6))
+        gbm = GbmModel(init_value=0.25, stages=members, learning_rate=0.3)
+        assert predict_forest_batch(forest, x).tolist() == [predict_forest(forest, r) for r in x]
+        assert predict_gbm_batch(gbm, x).tolist() == [predict_gbm(gbm, r) for r in x]
+
+
 def mixed_columns(rng, n):
     """Continuous, integer and one-hot columns; a copy of the first column (a
     tie the lower feature index must win); a constant column; and two
@@ -435,6 +476,25 @@ class TestForest:
         finally:
             tracemalloc.stop()
         assert peak < CAP_BYTES, peak
+
+    def test_predict_memory_stays_near_the_member_matrix(self):
+        # one (trees x rows) matrix of member predictions, with no second copy
+        rng = np.random.default_rng(12)
+        grid = rng.normal(size=50)
+        n_trees, n = 50, 20_000
+        members = tuple(random_tree(rng, 3, grid, depth=8) for _ in range(n_trees))
+        forest = Forest(trees=members, config=ForestConfig(n_trees=n_trees))
+        x = rng.normal(size=(n, 3))
+        import numpy.ma  # noqa: F401  (imported lazily by NumPy; see above)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            predict_forest_batch(forest, x)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        member_bytes = n_trees * n * 8
+        assert peak < 1.5 * member_bytes, peak / member_bytes
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
