@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from array import array
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -50,7 +51,7 @@ KNN_K = 5
 MODEL_FITS = {
     "ols": lambda x, y, mask, names, seed: fit_ols(x, y, feature_names=names),
     "sgd": lambda x, y, mask, names, seed: fit_sgd(
-        x, y, SgdConfig(epochs=200, average_from=100, seed=seed),
+        x, y, SgdConfig(epochs=200, seed=seed),
         passthrough=mask, feature_names=names,
     ),
     "cart": lambda x, y, mask, names, seed: fit_cart(x, y, TreeConfig()),
@@ -426,18 +427,18 @@ def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     if header is None:
         raise FormatError(f"{path}: empty input")
     header = [c.strip() for c in header]
-    lines, data = [], []
+    lines, data = array("l"), array("d")  # no Python int or float per row or cell is kept
     for i, row in rows:
         if len(row) != len(header):
             raise FormatError(f"{path}:{i}: expected {len(header)} cells, got {len(row)}")
         try:
-            data.append(list(map(float, row)))
+            data.extend(map(float, row))
         except ValueError as exc:
             raise FormatError(f"{path}:{i}: non-numeric cell: {exc}") from exc
         lines.append(i)
-    if not data:
+    if not lines:
         raise FormatError(f"{path}: no data rows")
-    x = np.array(data)
+    x = np.frombuffer(data).reshape(len(lines), len(header))
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if len(bad):
         raise InvalidData(f"{path}:{lines[bad[0]]}: non-finite cell")

@@ -53,17 +53,12 @@ class SgdConfig:
     l2: float = 1e-4
     seed: int = 0
     shuffle: bool = True
-    # first epoch whose end-of-epoch iterate enters the returned average
-    # (Polyak-Ruppert); None returns the last iterate
-    average_from: Optional[int] = None
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.epochs <= 0:
             raise ValueError("epochs must be > 0")
-        if self.average_from is not None and not 1 <= self.average_from <= self.epochs:
-            raise ValueError("average_from must be in 1..epochs")
         if self.l2 < 0:
             raise ValueError("l2 must be >= 0")
         if 2.0 * self.learning_rate * self.l2 >= 1.0:
@@ -149,12 +144,12 @@ def fit_sgd(
     sparsely: beta is held as scale * w, the decay multiplies scale by
     1 - 2*lr*l2, and only the row's nonzero coordinates of w are read and
     written. Whenever scale drops below 1e-9 it is folded back into w. The
-    result equals the dense loop up to rounding. With cfg.average_from set,
-    the fit returns the mean of the end-of-epoch iterates from that epoch
-    through the last (Polyak & Juditsky 1992) instead of the last iterate.
-    Full training MSE of the model the fit would return at that epoch is
-    checkpointed every 100 epochs and at the final epoch. Raises Diverged,
-    naming the epoch, if any parameter leaves the floats.
+    result equals the dense loop up to rounding. The fit returns the mean of
+    the end-of-epoch iterates from epoch max(1, epochs // 2) through the last
+    (Polyak & Juditsky 1992). Full training MSE of the model the fit would
+    return at that epoch is checkpointed every 100 epochs and at the final
+    epoch. Raises Diverged, naming the epoch, if any parameter leaves the
+    floats.
     """
     x, y = _check_xy(x, y)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -171,6 +166,7 @@ def fit_sgd(
     step = 2.0 * cfg.learning_rate
     decay = 1.0 - step * cfg.l2
     rng = np.random.default_rng(cfg.seed)
+    average_from = max(1, cfg.epochs // 2)  # first iterate in the returned mean
     w = [0.0] * p
     scale = 1.0
     intercept = 0.0
@@ -197,10 +193,10 @@ def fit_sgd(
         if not (np.isfinite(beta).all() and math.isfinite(intercept)):
             raise Diverged(epoch)
         coef, bias = beta, intercept
-        if cfg.average_from is not None and epoch >= cfg.average_from:
+        if epoch >= average_from:
             beta_sum += beta
             intercept_sum += intercept
-            averaged = epoch - cfg.average_from + 1
+            averaged = epoch - average_from + 1
             coef, bias = beta_sum / averaged, intercept_sum / averaged
         if epoch % 100 == 0 or epoch == cfg.epochs:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -219,7 +215,7 @@ def fit_sgd(
                 "l2": cfg.l2,
                 "seed": cfg.seed,
                 "shuffle": cfg.shuffle,
-                "average_from": cfg.average_from,
+                "average_from": average_from,
             },
             "loss_checkpoints": checkpoints,
             "final_train_mse": checkpoints[-1][1],

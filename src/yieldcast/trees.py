@@ -13,9 +13,9 @@ reduction summed in another order. One call scores a batch of nodes: their
 (node, bin) keys are counted on one axis, node after node, by one bincount
 (or, when the keys are fewer than the bins, over the occupied bins only), and
 one segmented cumulative sum scores every candidate of every (node, feature)
-pair. Where float noise rather than the data could decide a node — top
-candidates within a relative 1e-9 of each other, or a best gain of at most
-1e-9 of the node's SSE — the node calls `best_split` over the features in
+pair. Where float noise rather than the data could decide a node — two of
+its candidates reach its best gain less a relative 1e-9, or that gain is at
+most 1e-9 of its SSE — the node calls `best_split` over the features in
 that band instead, so every tree is the one `best_split` would grow.
 
 Two growers call the scorer. `fit_cart` and each `fit_gbm` stage grow one
@@ -209,20 +209,6 @@ class _BinTable:
             self.keys[:, f] = codes + self.start[f]
 
 
-def _band(top, best, second, sse):
-    """Features among which float noise, not the data, could pick a node's
-    split: none where the best candidate clearly wins.
-
-    `top` holds each feature's best gain, `best` and `second` the node's best
-    and runner-up gain over all candidates, `sse` its sum of squared
-    deviations. A best gain of at most `_NEAR` * sse puts every feature with a
-    candidate in the band; a runner-up within relative `_NEAR` of the best
-    puts the features whose top gain is. Elementwise, so nodes can be rows.
-    """
-    near = best * (1.0 - _NEAR)
-    return np.where(best <= _NEAR * sse, top > -np.inf, (second >= near) & (top >= near))
-
-
 def _bin_split(table, rows, counts, weight, centred, features, sse, min_samples_leaf):
     """Each node's best split in a batch of nodes, scored from one count of
     (node, bin) keys.
@@ -239,9 +225,12 @@ def _bin_split(table, rows, counts, weight, centred, features, sse, min_samples_
     the centred left sum from a segmented cumulative sum: `best_split`'s SSE
     reduction, summed in another order.
 
-    Returns each node's feature (-1 for none) and threshold, and its `_band`
-    row over its features; a node with a feature in its band defers to
-    `_choose_split` over them.
+    Returns each node's feature (-1 for none) and threshold, and its band
+    row over its features. With near = best * (1 - `_NEAR`), a node with at
+    least two candidates that reach near bands the features whose top gain
+    does, and one whose best gain is at most `_NEAR` * sse bands every
+    feature with a legal candidate: float noise could pick among them. A
+    node with a banded feature defers to `_choose_split` over them.
     """
     k, p = len(counts), table.keys.shape[1]
     if features is None:
@@ -297,16 +286,14 @@ def _bin_split(table, rows, counts, weight, centred, features, sse, min_samples_
     top = np.maximum.reduceat(gain, first)
     hit = np.flatnonzero(gain == top.repeat(seg_len))
     at = hit[hit.searchsorted(first)]  # each segment's first max = smallest threshold
-    gain[at] = -np.inf
-    runner_up = np.maximum.reduceat(gain, first)
-    del gain, hit
-
     seg = np.arange(0, k * m, m) + top.reshape(k, m).argmax(axis=1)  # ties keep the lower feature
     best = top[seg]
-    rival = top.copy()
-    rival[seg] = runner_up[seg]
-    second = np.maximum.reduce(rival.reshape(k, m), 1)
-    band = _band(top.reshape(k, m), best[:, None], second[:, None], sse[:, None])
+    near = best * (1.0 - _NEAR)  # noise could rank two candidates that reach it
+    tied = np.add.reduceat(gain >= near.repeat(seg_len.reshape(k, m).sum(1)), first[::m]) > 1
+    del gain, hit
+    top = top.reshape(k, m)
+    band = np.where((best <= _NEAR * sse)[:, None], top > -np.inf,
+                    tied[:, None] & (top >= near[:, None]))
 
     split = best > -np.inf
     feature = np.where(split, features.ravel()[seg], -1)
@@ -431,12 +418,10 @@ class _Block:
         self.sizes = np.array([np.count_nonzero(w) for w in weights])
         self.e_row = np.concatenate([np.flatnonzero(w) for w in weights]).astype(np.int32)
         self.e_w = np.concatenate([w[w > 0] for w in weights]).astype(np.int32)
-        self.base = np.cumsum(self.sizes) - self.sizes
-
-    def _draw_entries(self, t: int) -> np.ndarray:
-        """Entry of each of tree t's draw positions."""
-        present = np.bincount(self.draws[t], minlength=self.x.shape[0]) > 0
-        return self.base[t] + np.cumsum(present, dtype=np.int32)[self.draws[t]] - 1
+        base = np.cumsum(self.sizes) - self.sizes
+        # each tree's entry of each of its draw positions
+        self.draw_entries = [b + np.cumsum(w > 0, dtype=np.int32)[draw] - 1
+                             for b, w, draw in zip(base, weights, self.draws)]
 
     def grow(self) -> tuple[list, list[float]]:
         """Per-depth slot records (feature or -1, threshold, leaf id, weight) and
@@ -520,7 +505,7 @@ class _Block:
         for i in np.flatnonzero(deferred).tolist():
             s = open_[i]
             t = slot_tree[s]
-            rows = self.draws[t][e_slot[self._draw_entries(t)] == s]
+            rows = self.draws[t][e_slot[self.draw_entries[t]] == s]
             choice = _choose_split(self.x, rows, self.y[rows], features[i][band[i]].tolist(),
                                    self.cfg.min_samples_leaf)
             if choice is not None:
@@ -529,7 +514,7 @@ class _Block:
     def _leaf_values(self, e_leaf: np.ndarray, n_leaves: int) -> list[float]:
         """Leaf means as `_grow` takes them: numpy's mean of the leaf's draws in
         draw order, one row per leaf of a (leaves of one size) x size matrix."""
-        draw_leaf = np.concatenate([e_leaf[self._draw_entries(t)] for t in range(len(self.draws))])
+        draw_leaf = e_leaf[np.concatenate(self.draw_entries)]
         ys = self.y[np.concatenate(self.draws)[np.argsort(draw_leaf, kind="stable")]]
         leaf_size = np.bincount(draw_leaf, minlength=n_leaves)
         leaf_first = np.cumsum(leaf_size) - leaf_size
@@ -567,9 +552,9 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     one call. Every node draws its subset from its tree's generator in level
     order: all nodes of one depth, left to right, before the next depth.
     Splits come from bins of distinct training values and are exactly
-    `best_split`'s candidates; a node whose top candidates lie within a
-    relative 1e-9 of each other, or whose best gain is at most 1e-9 of its
-    SSE, defers to `best_split` over the features in that band, on its rows
+    `best_split`'s candidates; a node with two candidates within a relative
+    1e-9 of its best gain, or whose best gain is at most 1e-9 of its SSE,
+    defers to `best_split` over the features in that band, on its rows
     repeated by weight in draw order. Leaf values are the numpy mean of those
     rows.
     """

@@ -2,12 +2,13 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import synth
-from yieldcast import cli, persist
+from yieldcast import cli, ingest, persist
 from yieldcast.cli import main
 from yieldcast.evaluate import METRIC_NAMES
 from yieldcast.trees import Forest, ForestConfig, GbmModel, Internal, Leaf
@@ -334,6 +335,28 @@ class TestPredict:
             assert rc == 2
             assert f"{inp}:{line}: non-finite cell" in capsys.readouterr().err
             assert not out.exists()
+
+    def test_reader_memory_stays_near_the_array(self, tmp_path):
+        # parsed cells go straight into one float buffer; the csv rows' own
+        # decoded text is not the reader's to save, so it is measured apart
+        rows = np.random.default_rng(8).normal(size=(5000, 13)) * 1000.0
+        inp = tmp_path / "rows.csv"
+        write_feature_csv(inp, [f"f{j}" for j in range(13)], rows.tolist())
+        data = inp.read_bytes()
+        import numpy.ma  # noqa: F401  (imported lazily by NumPy; not the reader's)
+
+        def peak(read):
+            tracemalloc.start()
+            try:
+                return read(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        _, rows_peak = peak(lambda: sum(1 for _ in ingest.csv_rows(data)))
+        (header, x), reader_peak = peak(lambda: cli._read_feature_csv(inp))
+        assert header == [f"f{j}" for j in range(13)]
+        np.testing.assert_array_equal(x, rows)
+        assert reader_peak - rows_peak < 3 * x.nbytes, (reader_peak - rows_peak) / x.nbytes
 
     def test_malformed_ensemble_file(self, ols_model_path, tmp_path, capsys):
         ols = persist.load_model(ols_model_path)

@@ -33,9 +33,9 @@ def noiseless(seed=0, n=50, p=3):
 
 def _dense_sgd_reference(x, y, cfg, passthrough=None):
     """The straightforward dense per-sample loop fit_sgd must reproduce:
-    returns (beta, intercept, checkpoints) in standardized space. With
-    cfg.average_from set, the returned parameters, and every checkpoint from
-    that epoch on, are the mean of the end-of-epoch iterates so far."""
+    returns (beta, intercept, checkpoints) in standardized space. The
+    returned parameters, and every checkpoint from epoch max(1, epochs // 2)
+    on, are the mean of the end-of-epoch iterates from that epoch so far."""
     z = apply_scaler(fit_scaler(x, passthrough=passthrough), x)
     n, p = z.shape
     rng = np.random.default_rng(cfg.seed)
@@ -54,7 +54,7 @@ def _dense_sgd_reference(x, y, cfg, passthrough=None):
             if not (np.isfinite(beta).all() and np.isfinite(intercept)):
                 raise Diverged(epoch)
             coef, bias = beta, intercept
-            if cfg.average_from is not None and epoch >= cfg.average_from:
+            if epoch >= max(1, cfg.epochs // 2):
                 iterates.append(np.append(beta, intercept))
                 mean = np.mean(iterates, axis=0)
                 coef, bias = mean[:p], mean[p]
@@ -230,11 +230,6 @@ class TestFitSgd:
             with pytest.raises(ValueError):
                 SgdConfig(learning_rate=learning_rate, l2=l2)
         SgdConfig(learning_rate=0.1, l2=4.9)
-        for epochs, average_from in ((10, 0), (10, -1), (10, 11), (1, 2)):
-            with pytest.raises(ValueError):
-                SgdConfig(epochs=epochs, average_from=average_from)
-        SgdConfig(epochs=10, average_from=1)
-        SgdConfig(epochs=10, average_from=10)
 
     @pytest.mark.parametrize(
         "design, cfg",
@@ -246,10 +241,10 @@ class TestFitSgd:
             (zero_z_design, SgdConfig(epochs=150, seed=2)),
             # decay 0.02 a step: the weight scale is folded back every 6 steps
             (onehot_design, SgdConfig(epochs=100, seed=5, learning_rate=0.1, l2=4.9)),
-            (dense_design, SgdConfig(epochs=120, seed=3, average_from=61)),
-            (onehot_design, SgdConfig(epochs=250, seed=1, average_from=150)),
-            (onehot_design, SgdConfig(epochs=100, seed=5, learning_rate=0.1, l2=4.9,
-                                      average_from=40)),
+            # odd epoch counts start the average at epochs // 2; one epoch at 1
+            (dense_design, SgdConfig(epochs=121, seed=3)),
+            (onehot_design, SgdConfig(epochs=1, seed=1)),
+            (onehot_design, SgdConfig(epochs=101, seed=5, learning_rate=0.1, l2=4.9)),
         ],
         ids=["shuffled", "sequential", "onehot", "onehot-sequential", "zero-z",
              "large-decay", "averaged-shuffled", "averaged-onehot",
@@ -268,18 +263,12 @@ class TestFitSgd:
 
     def test_averaged_metadata_describes_returned_model(self):
         x, y, passthrough = onehot_design()
-        cfg = SgdConfig(epochs=250, seed=1, average_from=150)
+        cfg = SgdConfig(epochs=250, seed=1)
         m = fit_sgd(x, y, cfg, passthrough=passthrough)
-        assert m.metadata["config"]["average_from"] == 150
+        assert m.metadata["config"]["average_from"] == 125
         mse = float(np.mean((predict_linear(m, x) - y) ** 2))
         assert m.metadata["final_train_mse"] == pytest.approx(mse, rel=1e-12)
         assert m.metadata["loss_checkpoints"][-1] == (250, m.metadata["final_train_mse"])
-        # the average is not the last iterate, whose loss differs
-        last = fit_sgd(x, y, SgdConfig(epochs=250, seed=1), passthrough=passthrough)
-        assert last.metadata["config"]["average_from"] is None
-        assert last.metadata["final_train_mse"] != pytest.approx(mse, rel=1e-9)
-        # epochs before average_from checkpoint the iterate itself
-        assert m.metadata["loss_checkpoints"][0] == last.metadata["loss_checkpoints"][0]
 
 
 class TestPredictAndParameters:

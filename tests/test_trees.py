@@ -290,6 +290,84 @@ class TestBinnedSplits:
         assert calls[0] < internal_nodes(tree) / 4
 
 
+def _node(columns, y, band):
+    return np.array(columns, dtype=float).T, np.array(y, dtype=float), band
+
+
+STEP = [0, 0, 0, 0, 10, 10, 10, 10]
+# Hand-built nodes of three features each, with the band row `_bin_split`
+# must return for them: the features among which float noise could pick.
+NEAR_TIE_NODES = {
+    # a column and a monotone copy of it cut the same partition: equal gains
+    "tie across features": _node([[1, 2, 3, 4, 5, 6, 7, 8], [2, 4, 6, 8, 10, 12, 14, 16],
+                                  [3, 1, 4, 1, 5, 9, 2, 6]], STEP, [True, True, False]),
+    "clear winner": _node([[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 5, 4, 6, 7, 8],
+                           [3, 1, 4, 1, 5, 9, 2, 6]], STEP, [False, False, False]),
+    # splitting either end off (0, 5, 5, 10) gains the same
+    "tie within a feature": _node([[1, 2, 3, 4], [2, 1, 4, 3], [7, 7, 7, 7]],
+                                  [0, 5, 5, 10], [True, False, False]),
+    # every candidate leaves both children at the node's mean: a best gain of 0
+    "no gain": _node([[1, 1, 2, 2], [5, 6, 5, 6], [7, 7, 7, 7]], [0, 10, 10, 0],
+                     [True, True, False]),
+    "no candidate": _node([[1, 1, 1], [2, 2, 2], [3, 3, 3]], [1, 2, 3],
+                          [False, False, False]),
+}
+
+
+def near_tie_band(table, nodes, y, weights, features, sparse):
+    """`_bin_split`'s band rows for nodes given as row indices of `table`'s
+    rows, with targets `y` and entry weights (None: all ones); `sparse` says
+    which counting path the batch must take."""
+    counts = np.array([len(idx) for idx in nodes])
+    rows = np.concatenate(nodes)
+    w = np.ones(len(rows)) if weights is None else np.concatenate(weights)
+    centred, sse = [], []
+    for node_y, node_w in zip(y, np.split(w, np.cumsum(counts)[:-1])):
+        dev = node_y - (node_w @ node_y) / node_w.sum()
+        centred.append(node_w * dev)
+        sse.append(centred[-1] @ dev)
+    n_bins = table.size.sum() if features is None else table.size[features].sum()
+    m = table.keys.shape[1] if features is None else features.shape[1]
+    assert (len(rows) * m < n_bins) == sparse
+    _, _, band = trees._bin_split(
+        table, rows, counts, None if weights is None else np.concatenate(weights),
+        np.concatenate(centred), features, np.array(sse), 1,
+    )
+    return band.tolist()
+
+
+class TestNearTieBand:
+    @pytest.mark.parametrize("sparse", [False, True], ids=["all-bins", "occupied-bins"])
+    @pytest.mark.parametrize("case", list(NEAR_TIE_NODES))
+    def test_one_node_over_every_feature(self, case, sparse):
+        x, y, want = NEAR_TIE_NODES[case]
+        n = len(y)
+        if sparse:  # more rows of the table, outside the node: bins the node leaves empty
+            x = np.vstack([x, 100.0 + np.arange(9.0 * n).reshape(3 * n, 3)])
+        band = near_tie_band(trees._BinTable(x), [np.arange(n)], [y], None, None, sparse)
+        assert band == [want]
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["all-bins", "occupied-bins"])
+    def test_weighted_nodes_with_feature_subsets(self, sparse):
+        # Node c holds its case's rows of one wide table and sees only its
+        # columns 3c..3c+2; every other row repeats the case's first row there
+        # (no new bins) or holds a fresh value (bins the node leaves empty).
+        cases = list(NEAR_TIE_NODES.values())
+        sizes = [len(y) for _, y, _ in cases]
+        n = sum(sizes) + (10 if sparse else 0)
+        table = np.empty((n, 3 * len(cases)))
+        nodes = np.split(np.arange(sum(sizes)), np.cumsum(sizes)[:-1])
+        for c, ((x, _, _), idx) in enumerate(zip(cases, nodes)):
+            cols = table[:, 3 * c:3 * c + 3]
+            cols[:] = 1000.0 + np.arange(n)[:, None] if sparse else x[0]
+            cols[idx] = x
+        features = np.arange(3 * len(cases)).reshape(-1, 3)
+        weights = [np.full(len(idx), c % 3 + 1, np.int32) for c, idx in enumerate(nodes)]
+        band = near_tie_band(trees._BinTable(table), nodes, [y for _, y, _ in cases],
+                             weights, features, sparse)
+        assert band == [want for _, _, want in cases]
+
+
 def test_midpoint_rounding_onto_the_upper_value_takes_the_lower():
     # The midpoint of these neighbouring doubles rounds onto the upper one,
     # so a midpoint threshold would send every row left.
