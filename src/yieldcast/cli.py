@@ -459,10 +459,7 @@ def cmd_predict(args) -> int:
         raise ShapeError(
             f"input header does not match the model's feature names {list(names)}"
         )
-    try:
-        preds = persist.predict_model(model, x)
-    except IndexError as exc:
-        raise ShapeError(f"input has too few columns for this model: {exc}") from exc
+    preds = persist.predict_model(model, x)
 
     persist.write_csv(["prediction"], [[float(v)] for v in preds], args.out)
     print(f"wrote {len(preds)} predictions")

@@ -8,8 +8,10 @@ Saving what load_model returns reproduces the file byte for byte, and a
 reloaded model predicts bit-identically to the original. Non-finite floats
 serialize as the strings "NaN"/"Infinity"/"-Infinity"; model payloads never
 contain them. A dataclass instance serializes as an object of its fields, so
-write-only documents (merge and run reports) need no hand-written layout;
-model payloads keep explicit layouts because load_model reads them back.
+write-only documents (merge and run reports) and tree payloads need no
+hand-written layout. Model documents are at format_version 2 (trees as node
+arrays) and load_model also reads version 1 (nested tree nodes); panels and
+reports are at version 1.
 """
 from __future__ import annotations
 
@@ -22,23 +24,22 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import PanelRow, PanelTable, Scaler, fsum_columns
-from .errors import FormatError, InvalidConfig, IoError, UnsupportedVersion
+from .errors import FormatError, InvalidConfig, IoError, ShapeError, UnsupportedVersion
 from .knn import KnnModel, predict_knn_batch
 from .linear import LinearModel, predict_linear
 from .trees import (
     Forest,
     ForestConfig,
     GbmModel,
-    Internal,
-    Leaf,
+    Tree,
     TreeConfig,
-    TreeNode,
     predict_forest_batch,
     predict_gbm_batch,
     predict_tree_batch,
 )
 
 FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # trees as node arrays; version 1 model documents are still read
 
 PANEL_COLUMNS = (
     "iso3",
@@ -217,11 +218,11 @@ def read_json(path: str | Path) -> Any:
         raise FormatError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
-def _check_version(doc: Any, path: str | Path) -> dict:
+def _check_version(doc: Any, path: str | Path, versions=(FORMAT_VERSION,)) -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version not in versions:
         raise UnsupportedVersion(f"{path}: format_version {version!r} not supported")
     return doc
 
@@ -239,51 +240,25 @@ def _scaler_from_dict(d: Optional[dict]) -> Optional[Scaler]:
     )
 
 
-def _tree_to_dict(node: TreeNode) -> dict:
-    if isinstance(node, Leaf):
-        return {"kind": "leaf", "value": node.value, "n_samples": node.n_samples}
-    return {
-        "kind": "split",
-        "feature_index": node.feature_index,
-        "threshold": node.threshold,
-        "left": _tree_to_dict(node.left),
-        "right": _tree_to_dict(node.right),
-    }
-
-
-def _tree_from_dict(d: dict) -> TreeNode:
-    if d["kind"] == "leaf":
-        return Leaf(value=float(d["value"]), n_samples=int(d["n_samples"]))
-    if d["kind"] == "split":
-        return Internal(
-            feature_index=int(d["feature_index"]),
-            threshold=float(d["threshold"]),
-            left=_tree_from_dict(d["left"]),
-            right=_tree_from_dict(d["right"]),
-        )
-    raise FormatError(f"unknown tree node kind {d.get('kind')!r}")
-
-
-def _optional_int(v: Any) -> Optional[int]:
-    return None if v is None else int(v)
-
-
-def _forest_from_payload(p: dict) -> Forest:
-    cfg = p["config"]
-    return Forest(
-        trees=tuple(_tree_from_dict(t) for t in p["trees"]),
-        config=ForestConfig(
-            n_trees=int(cfg["n_trees"]),
-            features_per_split=_optional_int(cfg["features_per_split"]),
-            bootstrap=bool(cfg["bootstrap"]),
-            tree=TreeConfig(
-                max_depth=int(cfg["tree"]["max_depth"]),
-                min_samples_leaf=int(cfg["tree"]["min_samples_leaf"]),
-                min_samples_split=_optional_int(cfg["tree"]["min_samples_split"]),
-            ),
-            seed=int(cfg["seed"]),
-        ),
-    )
+def _v1_tree(node: Any) -> Tree:
+    """A version 1 nested tree ({"kind": "leaf"/"split", ...}) as a Tree,
+    its nodes in preorder; iterative, so depth raises no RecursionError."""
+    records: list[list] = []
+    stack = [(node, None)]  # (node, record whose right child it is)
+    while stack:
+        node, parent = stack.pop()
+        if parent is not None:
+            parent[3] = len(records)
+        kind = node["kind"]
+        if kind == "leaf":
+            records.append([-1, 0.0, -1, -1, node["value"], node["n_samples"]])
+        elif kind == "split":
+            record = [node["feature_index"], node["threshold"], len(records) + 1, -1, 0.0, 0]
+            records.append(record)
+            stack += [(node["right"], record), (node["left"], None)]
+        else:
+            raise FormatError(f"unknown tree node kind {kind!r}")
+    return Tree.from_records(records)
 
 
 def _predict_ensemble(e: EnsembleModel, x: np.ndarray) -> np.ndarray:
@@ -298,12 +273,13 @@ def _ensemble_n_features(e: EnsembleModel) -> Optional[int]:
 
 class ModelKind(NamedTuple):
     """How one kind of fitted model is recognised, stored, read back from
-    (payload, fit_metadata, path), applied, and sized: n_features is the
-    input column count the model records, or None (trees record none)."""
+    (payload, fit_metadata, path, the document version's tree reader),
+    applied, and sized: n_features is the input column count the model
+    records, or None (trees record none)."""
 
     model_type: type | tuple[type, ...]
-    to_payload: Callable[[Any], dict]
-    from_payload: Callable[[dict, dict, str | Path], Any]
+    to_payload: Callable[[Any], Any]
+    from_payload: Callable[[dict, dict, str | Path, Callable[[Any], Tree]], Any]
     predict: Callable[[Any, np.ndarray], np.ndarray]
     n_features: Callable[[Any], Optional[int]]
 
@@ -316,7 +292,7 @@ _LINEAR = ModelKind(
         "scaler": m.scaler,
         "feature_names": list(m.feature_names),
     },
-    lambda p, metadata, path: LinearModel(
+    lambda p, metadata, path, read_tree: LinearModel(
         coefficients=np.asarray(p["coefficients"], dtype=float),
         intercept=float(p["intercept"]),
         scaler=_scaler_from_dict(p["scaler"]),
@@ -334,29 +310,28 @@ KINDS: dict[str, ModelKind] = {
     "ols": _LINEAR,
     "sgd": _LINEAR,
     "cart": ModelKind(
-        (Leaf, Internal),
-        lambda t: {"tree": _tree_to_dict(t)},
-        lambda p, metadata, path: _tree_from_dict(p["tree"]),
+        Tree,
+        lambda t: {"tree": t},
+        lambda p, metadata, path, read_tree: read_tree(p["tree"]),
         lambda t, x: predict_tree_batch(t, x),
         lambda t: None,
     ),
     "forest": ModelKind(
         Forest,
-        lambda f: {"trees": [_tree_to_dict(t) for t in f.trees], "config": f.config},
-        lambda p, metadata, path: _forest_from_payload(p),
+        lambda f: f,
+        lambda p, metadata, path, read_tree: Forest(
+            trees=tuple(map(read_tree, p["trees"])),
+            config=ForestConfig(**{**p["config"], "tree": TreeConfig(**p["config"]["tree"])}),
+        ),
         lambda f, x: predict_forest_batch(f, x),
         lambda f: None,
     ),
     "gbm": ModelKind(
         GbmModel,
-        lambda m: {
-            "init_value": m.init_value,
-            "learning_rate": m.learning_rate,
-            "stages": [_tree_to_dict(t) for t in m.stages],
-        },
-        lambda p, metadata, path: GbmModel(
+        lambda m: m,
+        lambda p, metadata, path, read_tree: GbmModel(
             init_value=float(p["init_value"]),
-            stages=tuple(_tree_from_dict(t) for t in p["stages"]),
+            stages=tuple(map(read_tree, p["stages"])),
             learning_rate=float(p["learning_rate"]),
         ),
         lambda m, x: predict_gbm_batch(m, x),
@@ -371,7 +346,7 @@ KINDS: dict[str, ModelKind] = {
             "scaler": m.scaler,
             "feature_names": list(m.feature_names),
         },
-        lambda p, metadata, path: KnnModel(
+        lambda p, metadata, path, read_tree: KnnModel(
             x_train=np.asarray(p["x_train"], dtype=float),
             y_train=np.asarray(p["y_train"], dtype=float),
             k=int(p["k"]),
@@ -385,7 +360,7 @@ KINDS: dict[str, ModelKind] = {
     "ensemble": ModelKind(
         EnsembleModel,
         lambda e: {"members": [{"name": n, "model": _to_doc(m)} for n, m in e.members]},
-        lambda p, metadata, path: EnsembleModel(
+        lambda p, metadata, path, read_tree: EnsembleModel(
             members=tuple(
                 (m["name"], _from_doc(m["model"], path)) for m in p["members"]
             )
@@ -410,7 +385,7 @@ def model_kind_of(model: Any) -> str:
 def _to_doc(model: Any) -> dict:
     kind = model_kind_of(model)
     return {
-        "format_version": FORMAT_VERSION,
+        "format_version": MODEL_FORMAT_VERSION,
         "model_kind": kind,
         "payload": KINDS[kind].to_payload(model),
         "fit_metadata": dict(getattr(model, "metadata", {})),
@@ -422,12 +397,16 @@ def _from_doc(doc: Any, path: str | Path) -> Any:
         raise FormatError(
             f"{path}: model document must be an object, got {type(doc).__name__}"
         )
+    version = _check_version(doc, path, (1, MODEL_FORMAT_VERSION))["format_version"]
     kind = doc.get("model_kind")
     if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind compares unequal
         raise FormatError(f"{path}: unknown model_kind {kind!r}")
+    read_tree = _v1_tree if version == 1 else lambda payload: Tree(**payload)
     try:
-        return KINDS[kind].from_payload(doc["payload"], doc.get("fit_metadata", {}), path)
-    except (KeyError, TypeError, ValueError, InvalidConfig) as exc:
+        return KINDS[kind].from_payload(
+            doc["payload"], doc.get("fit_metadata", {}), path, read_tree
+        )
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
         # InvalidConfig: a model constructor rejected the stored values,
         # such as an ensemble with fewer than two members
         raise FormatError(f"{path}: corrupted {kind} payload: {exc}") from exc
@@ -439,18 +418,20 @@ def save_model(model: Any, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> Any:
-    """Read a model written by save_model; validates version and payload."""
-    doc = _check_version(read_json(path), path)
-    return _from_doc(doc, path)
+    """Read a model document of version 1 or 2; validates every version and payload."""
+    return _from_doc(read_json(path), path)
 
 
 def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
-    """Predict with any supported model object (dispatch by kind)."""
+    """Predict with any supported model object (dispatch by kind) on enough columns."""
     try:
         entry = KINDS[model_kind_of(model)]
     except InvalidConfig:
         raise InvalidConfig(f"cannot predict with {type(model).__name__}") from None
-    return entry.predict(model, x)
+    try:
+        return entry.predict(model, x)
+    except IndexError as exc:
+        raise ShapeError(f"input has too few columns for this model: {exc}") from exc
 
 
 # -------------------------------------------------------------------- panel
@@ -508,6 +489,7 @@ def write_report(report: dict, path: str | Path) -> None:
 
 __all__ = [
     "FORMAT_VERSION",
+    "MODEL_FORMAT_VERSION",
     "MODEL_KINDS",
     "KINDS",
     "ModelKind",

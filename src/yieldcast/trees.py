@@ -18,9 +18,11 @@ its candidates reach its best gain less a relative 1e-9, or that gain is at
 most 1e-9 of its SSE — the node calls `best_split` over the features in
 that band instead, so every tree is the one `best_split` would grow.
 
-Two growers call the scorer. `fit_cart` and each `fit_gbm` stage grow one
-tree recursively (`_grow`), one node per call; the bins are built once per
-`fit_cart` call, and once per `fit_gbm` call for all of its stages.
+Two growers call the scorer; both build each tree as one `Tree` of node
+arrays, which the router walks and `persist` stores. `fit_cart` and each
+`fit_gbm` stage grow one tree recursively (`_grow`), one node per call, in
+preorder; the bins are built once per `fit_cart` call, and once per
+`fit_gbm` call for all of its stages.
 
 `fit_forest` grows all of its trees together, one depth level at a time
 (`_Block`), with one call per level for the open nodes of every tree in a
@@ -36,8 +38,8 @@ tree's bootstrap sample given the node's subset; a deferring node calls
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Union
+from dataclasses import dataclass, field, fields
+from typing import Optional
 
 import numpy as np
 
@@ -50,21 +52,55 @@ _BLOCK_KEYS = 1 << 15
 _NEAR = 1e-9
 
 
-@dataclass(frozen=True)
-class Leaf:
-    value: float  # mean of the training targets routed here
-    n_samples: int
+# the Tree fields that hold integers
+_INT_FIELDS = ("feature", "left", "right", "n_samples")
 
 
-@dataclass(frozen=True)
-class Internal:
-    feature_index: int
-    threshold: float
-    left: "TreeNode"
-    right: "TreeNode"
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A regression tree as six equal-length node arrays, the root at 0. Node
+    i splits on `feature[i]` (x[feature] <= threshold goes to `left[i]`, the
+    rest to `right[i]`, both later nodes), or is a leaf: feature, left and
+    right -1, `value[i]` and `n_samples[i]` the mean and count of the training
+    rows routed there. Leaf thresholds, and split values and counts, are 0."""
 
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
 
-TreeNode = Union[Leaf, Internal]
+    def __post_init__(self):
+        """Take lists or arrays; raise ValueError unless they form a tree."""
+        for name in (f.name for f in fields(self)):
+            integer = name in _INT_FIELDS
+            raw, allowed = getattr(self, name), {int} if integer else {int, float}
+            # booleans and fractions where integers belong, before np.asarray coerces them
+            if isinstance(raw, list) and not set(map(type, raw)) <= allowed:
+                raise ValueError(f"tree {name} holds a value of the wrong type")
+            a = np.asarray(raw)
+            if a.ndim != 1 or a.dtype.kind not in ("i" if integer else "if"):
+                raise ValueError(f"tree {name} is not a 1-d array of numbers of its kind")
+            object.__setattr__(self, name, a.astype(np.int64 if integer else float))
+        n = len(self.feature)
+        if n == 0 or any(len(getattr(self, f.name)) != n for f in fields(self)):
+            raise ValueError("tree node arrays must be nonempty and of one length")
+        if not (np.isfinite(self.threshold).all() and np.isfinite(self.value).all()):
+            raise ValueError("tree thresholds and values must be finite")
+        if (self.feature < -1).any() or (self.n_samples < 0).any():
+            raise ValueError("tree features must be >= -1 and sample counts >= 0")
+        node = np.arange(n)
+        split = self.feature >= 0
+        children = ((self.left > node) & (self.left < n) & (self.right > node)
+                    & (self.right < n))
+        if not np.where(split, children, (self.left == -1) & (self.right == -1)).all():
+            raise ValueError("tree children must be later nodes, and -1 at leaves")
+
+    @classmethod
+    def from_records(cls, records: list) -> "Tree":
+        """A Tree from node records [feature, threshold, left, right, value, n]."""
+        return cls(*map(list, zip(*records)))
 
 
 @dataclass(frozen=True)
@@ -118,15 +154,19 @@ class GbmConfig:
 
 @dataclass(frozen=True)
 class Forest:
-    trees: tuple[TreeNode, ...]
+    trees: tuple[Tree, ...]
     config: ForestConfig
 
 
 @dataclass(frozen=True)
 class GbmModel:
     init_value: float
-    stages: tuple[TreeNode, ...]
+    stages: tuple[Tree, ...]
     learning_rate: float
+
+    def __post_init__(self):
+        if not (np.isfinite(self.init_value) and 0.0 < self.learning_rate <= 1.0):
+            raise ValueError("GBM init_value must be finite and learning_rate in (0, 1]")
 
 
 def best_split(
@@ -310,30 +350,36 @@ def _bin_split(table, rows, counts, weight, centred, features, sse, min_samples_
 
 
 def _grow(
-    x: np.ndarray, y: np.ndarray, table: _BinTable, idx: np.ndarray, depth: int, cfg: TreeConfig
-) -> TreeNode:
+    x: np.ndarray, y: np.ndarray, table: _BinTable, idx: np.ndarray, depth: int,
+    cfg: TreeConfig, nodes: list,
+) -> list:
+    """Append the subtree on rows `idx` to `nodes` as preorder records
+    [feature, threshold, left, right, value, n]; returns `nodes`."""
     node_y = y[idx]
     n = len(idx)
-    if depth >= cfg.max_depth or n < cfg.split_threshold or node_y.min() == node_y.max():
-        return Leaf(value=float(node_y.mean()), n_samples=n)
-    centred = node_y - node_y.mean()
-    feature, threshold, band = _bin_split(
-        table, idx, np.array([n]), None, centred, None, np.array([centred @ centred]),
-        cfg.min_samples_leaf,
-    )
-    if band.any():
-        best = _choose_split(x, idx, node_y, np.flatnonzero(band[0]).tolist(),
-                             cfg.min_samples_leaf)
-    else:
-        best = None if feature[0] < 0 else (int(feature[0]), float(threshold[0]))
+    best = None
+    if depth < cfg.max_depth and n >= cfg.split_threshold and node_y.min() < node_y.max():
+        centred = node_y - node_y.mean()
+        feature, threshold, band = _bin_split(
+            table, idx, np.array([n]), None, centred, None, np.array([centred @ centred]),
+            cfg.min_samples_leaf,
+        )
+        if band.any():
+            best = _choose_split(x, idx, node_y, np.flatnonzero(band[0]).tolist(),
+                                 cfg.min_samples_leaf)
+        elif feature[0] >= 0:
+            best = int(feature[0]), float(threshold[0])
     if best is None:
-        return Leaf(value=float(node_y.mean()), n_samples=n)
+        nodes.append([-1, 0.0, -1, -1, float(node_y.mean()), n])
+        return nodes
 
     f, threshold = best
+    record = [f, threshold, len(nodes) + 1, -1, 0.0, 0]
+    nodes.append(record)
     go_left = x[idx, f] <= threshold
-    left = _grow(x, y, table, idx[go_left], depth + 1, cfg)
-    right = _grow(x, y, table, idx[~go_left], depth + 1, cfg)
-    return Internal(feature_index=f, threshold=threshold, left=left, right=right)
+    _grow(x, y, table, idx[go_left], depth + 1, cfg, nodes)
+    record[3] = len(nodes)
+    return _grow(x, y, table, idx[~go_left], depth + 1, cfg, nodes)
 
 
 def _training_arrays(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
@@ -346,10 +392,10 @@ def _training_arrays(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def fit_cart(x: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> TreeNode:
+def fit_cart(x: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> Tree:
     """Greedy recursive partitioning down to max_depth / min-sample limits."""
     x, y = _training_arrays(x, y, 1)
-    return _grow(x, y, _BinTable(x), np.arange(len(y)), 0, cfg)
+    return Tree.from_records(_grow(x, y, _BinTable(x), np.arange(len(y)), 0, cfg, []))
 
 
 def _columns(x) -> np.ndarray:
@@ -357,24 +403,27 @@ def _columns(x) -> np.ndarray:
     return np.ascontiguousarray(np.asarray(x, dtype=float).T)
 
 
-def _route(t: TreeNode, cols: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+def _route(t: Tree, cols: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Leaf value of every row, routed over feature columns `cols` (features x
     rows; cols[feature] <= threshold goes left), written into `out`."""
     if out is None:
         out = np.empty(cols.shape[1])
-    stack = [(t, np.arange(cols.shape[1]))]
+    feature, threshold, left, right, value = (
+        a.tolist() for a in (t.feature, t.threshold, t.left, t.right, t.value))
+    stack = [(0, np.arange(cols.shape[1]))]
     while stack:
         node, idx = stack.pop()
-        if isinstance(node, Leaf):
-            out[idx] = node.value
+        f = feature[node]
+        if f < 0:
+            out[idx] = value[node]
             continue
-        go_left = cols[node.feature_index].take(idx) <= node.threshold
-        stack.append((node.left, idx.compress(go_left)))
-        stack.append((node.right, idx.compress(~go_left)))
+        go_left = cols[f].take(idx) <= threshold[node]
+        stack.append((left[node], idx.compress(go_left)))
+        stack.append((right[node], idx.compress(~go_left)))
     return out
 
 
-def predict_tree_batch(t: TreeNode, x: np.ndarray) -> np.ndarray:
+def predict_tree_batch(t: Tree, x: np.ndarray) -> np.ndarray:
     """Route every row of x through the tree (x[feature] <= threshold goes left)."""
     return _route(t, _columns(x))
 
@@ -423,9 +472,9 @@ class _Block:
         self.draw_entries = [b + np.cumsum(w > 0, dtype=np.int32)[draw] - 1
                              for b, w, draw in zip(base, weights, self.draws)]
 
-    def grow(self) -> tuple[list, list[float]]:
-        """Per-depth slot records (feature or -1, threshold, leaf id, weight) and
-        the leaf values, for `_assemble`."""
+    def grow(self) -> tuple[list, np.ndarray]:
+        """Per-depth slot records (feature or -1, threshold, leaf id, weight,
+        tree) and the leaf values, for `_block_trees`."""
         cfg = self.cfg
         e_leaf = np.empty(len(self.e_row), np.int32)
         levels = []
@@ -455,7 +504,7 @@ class _Block:
             n_leaves += np.count_nonzero(leaf)
             at_leaf = leaf[slot]
             e_leaf[order[at_leaf]] = leaf_id[slot[at_leaf]]
-            levels.append((feature, threshold, leaf_id, total))
+            levels.append((feature, threshold, leaf_id, total, slot_tree))
 
             # children: each split slot's entries, the left child's first
             order, slot = order[~at_leaf], slot[~at_leaf]
@@ -511,7 +560,7 @@ class _Block:
             if choice is not None:
                 feature[s], threshold[s] = choice
 
-    def _leaf_values(self, e_leaf: np.ndarray, n_leaves: int) -> list[float]:
+    def _leaf_values(self, e_leaf: np.ndarray, n_leaves: int) -> np.ndarray:
         """Leaf means as `_grow` takes them: numpy's mean of the leaf's draws in
         draw order, one row per leaf of a (leaves of one size) x size matrix."""
         draw_leaf = e_leaf[np.concatenate(self.draw_entries)]
@@ -522,22 +571,26 @@ class _Block:
         for size in np.flatnonzero(np.bincount(leaf_size)):
             ids = np.flatnonzero(leaf_size == size)
             value[ids] = ys[leaf_first[ids, None] + np.arange(size)].sum(axis=1) / size
-        return value.tolist()
+        return value
 
 
-def _assemble(levels: list, value: list[float]) -> list[TreeNode]:
-    """Leaf/Internal trees from `_Block.grow`'s records, deepest level first."""
-    below: list[TreeNode] = []
-    for feature, threshold, leaf_id, total in reversed(levels):
-        children = iter(below)
-        below = [
-            Leaf(value=value[i], n_samples=int(nw)) if f < 0
-            else Internal(f, thr, next(children), next(children))
-            for f, thr, i, nw in zip(
-                feature.tolist(), threshold.tolist(), leaf_id.tolist(), total.tolist()
-            )
-        ]
-    return below
+def _block_trees(levels: list, leaf_value: np.ndarray) -> list[Tree]:
+    """The block's Trees from `_Block.grow`'s records, each in level order.
+
+    A tree's nodes after its root are, in level order, the children of its
+    splits in order, two per split: its r-th split's are nodes 2r+1 and 2r+2.
+    """
+    feature, threshold, leaf_id, total, tree = map(np.concatenate, zip(*levels))
+    split = feature >= 0
+    columns = (feature, np.where(split, threshold, 0.0),
+               np.where(split, 0.0, leaf_value[leaf_id]), np.where(split, 0, total))
+    order = np.argsort(tree, kind="stable")
+    cuts = np.cumsum(np.bincount(tree))[:-1]
+    trees = []
+    for f, thr, value, n in zip(*(np.split(c[order], cuts) for c in columns)):
+        left = np.where(f >= 0, 2 * np.cumsum(f >= 0) - 1, -1)
+        trees.append(Tree(f, thr, left, np.where(f >= 0, left + 1, -1), value, n))
+    return trees
 
 
 def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig()) -> Forest:
@@ -565,7 +618,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
         raise InvalidData(f"features_per_split {m} exceeds {p} features")
 
     table = _BinTable(x)
-    trees: list[TreeNode] = []
+    trees: list[Tree] = []
     block: list[tuple[np.random.Generator, np.ndarray]] = []
     keys = 0
     for rng in _tree_rngs(cfg.seed, cfg.n_trees):
@@ -573,11 +626,11 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
         draw = draw.astype(np.int32)
         size = np.count_nonzero(np.bincount(draw, minlength=n)) * m
         if block and keys + size > _BLOCK_KEYS:
-            trees += _assemble(*_Block(x, y, table, block, m, cfg.tree).grow())
+            trees += _block_trees(*_Block(x, y, table, block, m, cfg.tree).grow())
             block, keys = [], 0
         block.append((rng, draw))
         keys += size
-    trees += _assemble(*_Block(x, y, table, block, m, cfg.tree).grow())
+    trees += _block_trees(*_Block(x, y, table, block, m, cfg.tree).grow())
     return Forest(trees=tuple(trees), config=cfg)
 
 
@@ -596,7 +649,7 @@ def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmMo
     current = np.full(len(y), init)
     stages = []
     for _ in range(cfg.n_stages):
-        stage = _grow(x, y - current, table, rows, 0, cfg.tree)
+        stage = Tree.from_records(_grow(x, y - current, table, rows, 0, cfg.tree, []))
         current = current + cfg.learning_rate * _route(stage, cols)
         stages.append(stage)
     return GbmModel(init_value=init, stages=tuple(stages), learning_rate=cfg.learning_rate)
@@ -607,9 +660,7 @@ def predict_gbm_batch(m: GbmModel, x: np.ndarray) -> np.ndarray:
 
 
 __all__ = [
-    "Leaf",
-    "Internal",
-    "TreeNode",
+    "Tree",
     "TreeConfig",
     "ForestConfig",
     "GbmConfig",

@@ -3,15 +3,17 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import synth
+from tree_oracles import Internal, Leaf, flat
 from yieldcast import cli, ingest, persist
 from yieldcast.cli import main
 from yieldcast.evaluate import METRIC_NAMES
-from yieldcast.trees import Forest, ForestConfig, GbmModel, Internal, Leaf
+from yieldcast.trees import Forest, ForestConfig, GbmModel
 
 
 @pytest.fixture(scope="module")
@@ -282,8 +284,8 @@ class TestPredict:
         inp = tmp_path / "rows.csv"
         write_feature_csv(inp, self.HEADER[:2], [r[:2] for r in self.ROWS])
         # The ensemble's count comes from its first member that records one.
-        cart = Internal(feature_index=0, threshold=0.5,
-                        left=Leaf(1.0, 1), right=Leaf(2.0, 1))
+        cart = flat(Internal(feature_index=0, threshold=0.5,
+                             left=Leaf(1.0, 1), right=Leaf(2.0, 1)))
         ensemble_path = tmp_path / "ensemble.json"
         persist.save_model(
             persist.EnsembleModel(
@@ -403,14 +405,15 @@ class TestPredict:
         assert (tmp_path / "bom.out").read_bytes() == (tmp_path / "plain.out").read_bytes()
 
     def test_tree_feature_index_out_of_range(self, tmp_path, capsys):
-        tree = Internal(feature_index=3, threshold=0.5,
-                        left=Leaf(1.0, 1), right=Leaf(2.0, 1))
-        forest = Forest(trees=(Leaf(0.0, 1), tree), config=ForestConfig(n_trees=2))
+        tree = flat(Internal(feature_index=3, threshold=0.5,
+                             left=Leaf(1.0, 1), right=Leaf(2.0, 1)))
+        leaf = flat(Leaf(0.0, 1))
+        forest = Forest(trees=(leaf, tree), config=ForestConfig(n_trees=2))
         models = {
             "cart": tree,
             "forest": forest,
-            "gbm": GbmModel(init_value=0.0, stages=(Leaf(0.0, 1), tree), learning_rate=0.1),
-            "ensemble": persist.EnsembleModel(members=(("cart", Leaf(0.0, 1)),
+            "gbm": GbmModel(init_value=0.0, stages=(leaf, tree), learning_rate=0.1),
+            "ensemble": persist.EnsembleModel(members=(("cart", leaf),
                                                        ("forest", forest))),
         }
         inp = tmp_path / "rows.csv"
@@ -425,6 +428,64 @@ class TestPredict:
             err = capsys.readouterr().err
             assert "too few columns" in err and "Traceback" not in err, kind
             assert not out.exists(), kind
+
+
+V1_DIR = Path(__file__).parent / "data" / "v1"
+
+
+def set_v1(field, value, at_leaf=False):
+    """An edit of a version 1 cart document: `field` of its root, or of its
+    leftmost leaf, becomes `value`."""
+    def edit(doc):
+        node = doc["payload"]["tree"]
+        while at_leaf and node["kind"] == "split":
+            node = node["left"]
+        node[field] = value
+    return edit
+
+
+def set_v2(field, value, at_leaf=False):
+    """An edit of a version 2 cart document: `field` at its root, or at its
+    first leaf, becomes `value`."""
+    def edit(doc):
+        tree = doc["payload"]["tree"]
+        tree[field][tree["feature"].index(-1) if at_leaf else 0] = value
+    return edit
+
+
+MALFORMED_TREES = {
+    "v1 split feature -1": set_v1("feature_index", -1),
+    "v1 fractional feature": set_v1("feature_index", 1.7),
+    "v1 boolean feature": set_v1("feature_index", True),
+    "v1 NaN threshold": set_v1("threshold", "NaN"),
+    "v1 infinite leaf value": set_v1("value", "Infinity", at_leaf=True),
+    "v1 negative n_samples": set_v1("n_samples", -3, at_leaf=True),
+    "v2 split feature -1": set_v2("feature", -1),
+    "v2 fractional feature": set_v2("feature", 1.7),
+    "v2 boolean feature": set_v2("feature", True),
+    "v2 NaN threshold": set_v2("threshold", "NaN"),
+    "v2 infinite leaf value": set_v2("value", "Infinity", at_leaf=True),
+    "v2 negative n_samples": set_v2("n_samples", -3, at_leaf=True),
+    "v2 feature below -1": set_v2("feature", -2, at_leaf=True),
+    "v2 child before its parent": set_v2("left", 0),
+    "v2 leaf with a child": set_v2("right", 1, at_leaf=True),
+    "v2 short array": lambda doc: doc["payload"]["tree"]["value"].pop(),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_TREES))
+def test_malformed_tree_exits_1(case, tmp_path, capsys):
+    model_path = tmp_path / "cart.json"
+    persist.save_model(persist.load_model(V1_DIR / "cart.json"), model_path)
+    doc = persist.read_json(V1_DIR / "cart.json" if case.startswith("v1") else model_path)
+    MALFORMED_TREES[case](doc)
+    model_path.write_text(json.dumps(doc))
+    out = tmp_path / "predictions.csv"
+    rc = main(["predict", "--model", str(model_path), "--input", str(V1_DIR / "features.csv"),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and f"error: {model_path}: corrupted cart payload" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize("reader", ["predict --model", "cv --config", "cv --panel"])

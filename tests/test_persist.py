@@ -1,23 +1,30 @@
 """Canonical JSON rendering and save/load round-trips for every artifact."""
 from __future__ import annotations
 
+import copy
+import functools
 import json
 import math
+import tempfile
 import tracemalloc
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import synth
+from tree_oracles import gbm_nodes, nodes
 from yieldcast.cli import main
 from yieldcast.errors import (
     FormatError,
     InvalidConfig,
     IoError,
+    ShapeError,
     UnsupportedVersion,
+    YieldcastError,
 )
 from yieldcast.evaluate import (
     METRIC_NAMES,
@@ -209,6 +216,11 @@ class TestReadWrite:
             write_csv(["a"], [[1]], tmp_path)
 
 
+# model files written at format_version 1 (see data/v1/README.md)
+V1_DIR = Path(__file__).parent / "data" / "v1"
+TREE_KINDS = ("cart", "forest", "gbm", "ensemble")
+
+
 @pytest.fixture(scope="module")
 def fitted_models():
     rng = np.random.default_rng(42)
@@ -252,12 +264,15 @@ class TestModelRoundTrip:
         models, _ = fitted_models
         path = tmp_path / "cart.json"
         save_model(models["cart"], path)
-        assert load_model(path) == models["cart"]
+        assert nodes(load_model(path)) == nodes(models["cart"])
         path = tmp_path / "forest.json"
         save_model(models["forest"], path)
         reloaded = load_model(path)
-        assert reloaded.trees == models["forest"].trees
+        assert list(map(nodes, reloaded.trees)) == list(map(nodes, models["forest"].trees))
         assert reloaded.config == models["forest"].config
+        path = tmp_path / "gbm.json"
+        save_model(models["gbm"], path)
+        assert gbm_nodes(load_model(path)) == gbm_nodes(models["gbm"])
 
     def test_linear_parameters_survive_round_trip(self, fitted_models, tmp_path):
         models, _ = fitted_models
@@ -290,11 +305,20 @@ class TestModelRoundTrip:
         path = tmp_path / "m.json"
         save_model(models["ols"], path)
         doc = read_json(path)
-        doc["format_version"] = 2
+        assert doc["format_version"] == 2
+        for version in (3, 0, "2", 2.0, True):
+            doc["format_version"] = version
+            write_json(doc, path)
+            with pytest.raises(UnsupportedVersion):
+                load_model(path)
+        del doc["format_version"]
         write_json(doc, path)
         with pytest.raises(UnsupportedVersion):
             load_model(path)
-        del doc["format_version"]
+        # every member of an ensemble carries its own version
+        save_model(models["ensemble"], path)
+        doc = read_json(path)
+        doc["payload"]["members"][1]["model"]["format_version"] = 3
         write_json(doc, path)
         with pytest.raises(UnsupportedVersion):
             load_model(path)
@@ -316,9 +340,21 @@ class TestModelRoundTrip:
             load_model(path)
 
         bad = json.loads(json.dumps(doc))
-        bad["payload"]["tree"]["kind"] = "branch"
+        bad["payload"]["tree"]["kind"] = "leaf"  # a key a version 2 tree lacks
         write_json(bad, path)
         with pytest.raises(FormatError):
+            load_model(path)
+
+        bad = json.loads(json.dumps(doc))
+        del bad["payload"]["tree"]["n_samples"]
+        write_json(bad, path)
+        with pytest.raises(FormatError):
+            load_model(path)
+
+        bad = read_json(V1_DIR / "cart.json")
+        bad["payload"]["tree"]["kind"] = "branch"
+        write_json(bad, path)
+        with pytest.raises(FormatError, match="unknown tree node kind 'branch'"):
             load_model(path)
 
         write_json([1, 2], path)
@@ -368,6 +404,157 @@ class TestModelRoundTrip:
             predict_model(object(), np.ones((2, 2)))
         with pytest.raises(InvalidConfig):
             save_model(object(), "unused.json")
+
+
+def tree_nodes(model):
+    """Every tree of a tree model or ensemble in nested form, with the rest
+    of its fields: comparable with ==."""
+    kind = model_kind_of(model)
+    if kind == "cart":
+        return nodes(model)
+    if kind == "forest":
+        return list(map(nodes, model.trees)), model.config
+    if kind == "gbm":
+        return gbm_nodes(model)
+    if kind == "ensemble":
+        return [(name, tree_nodes(member)) for name, member in model.members]
+    return kind  # no trees
+
+
+def predict_file(model_path, out):
+    """`yieldcast predict` of the version 1 feature rows; returns the output."""
+    rc = main(["predict", "--model", str(model_path), "--input", str(V1_DIR / "features.csv"),
+               "--out", str(out)])
+    assert rc == 0
+    return out.read_bytes()
+
+
+class TestVersion1Files:
+    @pytest.mark.parametrize("kind", TREE_KINDS)
+    def test_loads_predicts_and_resaves_as_version_2(self, kind, tmp_path):
+        v1 = V1_DIR / f"{kind}.json"
+        assert read_json(v1)["format_version"] == 1
+        expected = (V1_DIR / f"{kind}.predictions.csv").read_bytes()
+        assert predict_file(v1, tmp_path / "v1.csv") == expected
+
+        model = load_model(v1)
+        v2 = tmp_path / f"{kind}.json"
+        save_model(model, v2)
+        doc = read_json(v2)
+        members = doc["payload"]["members"] if kind == "ensemble" else []
+        assert [doc["format_version"]] + [m["model"]["format_version"] for m in members] \
+            == [2] * (1 + len(members))
+        assert tree_nodes(load_model(v2)) == tree_nodes(model)
+        assert predict_file(v2, tmp_path / "v2.csv") == expected
+
+    def test_deep_version_1_tree_loads(self, tmp_path):
+        # a chain of splits, each sending x <= i left to a leaf: nested about
+        # as deeply as the JSON reader allows
+        depth = 800
+        leaf = '{"kind": "leaf", "n_samples": 1, "value": %d.0}'
+        text = "".join('{"kind": "split", "feature_index": 0, "threshold": %d.5, "left": %s, '
+                       '"right": ' % (i, leaf % i) for i in range(depth))
+        text += leaf % depth + "}" * depth
+        path = tmp_path / "deep.json"
+        path.write_text('{"format_version": 1, "model_kind": "cart", "fit_metadata": {}, '
+                        '"payload": {"tree": %s}}' % text)
+        tree = load_model(path)
+        assert len(tree.feature) == 2 * depth + 1
+        x = np.array([[-1.0], [3.0], [depth - 0.5], [depth + 7.0]])
+        assert predict_model(tree, x).tolist() == [0.0, 3.0, depth - 1.0, float(depth)]
+
+
+@functools.cache
+def tree_documents() -> dict:
+    """The version 1 tree documents and their version 2 re-saves, by name."""
+    docs = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for kind in TREE_KINDS:
+            docs[f"v1 {kind}"] = read_json(V1_DIR / f"{kind}.json")
+            save_model(load_model(V1_DIR / f"{kind}.json"), Path(tmp) / "v2.json")
+            docs[f"v2 {kind}"] = read_json(Path(tmp) / "v2.json")
+    return docs
+
+
+def child_arrays(doc):
+    """Every `left`/`right` node array of the version 2 trees in doc."""
+    if isinstance(doc, dict):
+        if "feature" in doc:
+            return [doc["left"], doc["right"]]
+        return [a for v in doc.values() for a in child_arrays(v)]
+    if isinstance(doc, list):
+        return [a for v in doc for a in child_arrays(v)]
+    return []
+
+
+def json_lists(doc):
+    """Every nonempty list in a JSON document."""
+    if isinstance(doc, dict):
+        return [a for v in doc.values() for a in json_lists(v)]
+    if isinstance(doc, list):
+        return [doc] * bool(doc) + [a for v in doc for a in json_lists(v)]
+    return []
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=4,
+)
+
+
+def fuzz(data, doc, mutation):
+    """Apply one mutation to doc in place."""
+    if mutation == "shorten an array":
+        data.draw(st.sampled_from(json_lists(doc))).pop()
+        return
+    if mutation == "point a child back":
+        array = data.draw(st.sampled_from(child_arrays(doc)))
+        i = data.draw(st.integers(0, len(array) - 1))
+        array[i] = data.draw(st.integers(0, i))
+        return
+    # walk down from the top, stopping at each level with even odds
+    container = doc
+    while True:
+        key = data.draw(st.sampled_from(sorted(container) if isinstance(container, dict)
+                                        else range(len(container))))
+        child = container[key]
+        if not (isinstance(child, (dict, list)) and child and data.draw(st.booleans())):
+            break
+        container = child
+    if mutation == "delete a key":
+        del container[key]
+    else:
+        container[key] = data.draw(JSON_VALUES)
+
+
+# where each mutation applies
+APPLIES = {"delete a key": bool, "replace a value": bool, "shorten an array": json_lists,
+           "point a child back": child_arrays}
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_fuzzed_tree_documents_fail_cleanly_or_predict_finite(tmp_path_factory, data):
+    docs = tree_documents()
+    mutation = data.draw(st.sampled_from(list(APPLIES)))
+    names = [name for name, doc in docs.items() if APPLIES[mutation](doc)]
+    doc = copy.deepcopy(docs[data.draw(st.sampled_from(names))])
+    fuzz(data, doc, mutation)
+    path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+    path.write_text(json.dumps(doc))  # non-finite floats as NaN/Infinity literals
+    x = np.loadtxt(V1_DIR / "features.csv", delimiter=",", skiprows=1)
+    try:
+        model = load_model(path)
+    except YieldcastError:
+        return
+    assert mutation != "point a child back"
+    try:
+        predictions = predict_model(model, x)
+    except ShapeError:  # a tree splits on a column x lacks
+        return
+    assert np.isfinite(predictions).all()
 
 
 class TestPanelRoundTrip:

@@ -13,8 +13,6 @@ from yieldcast.trees import (
     ForestConfig,
     GbmConfig,
     GbmModel,
-    Internal,
-    Leaf,
     TreeConfig,
     best_split,
     fit_cart,
@@ -27,9 +25,14 @@ from yieldcast.trees import (
 from yieldcast import trees
 from yieldcast.trees import _tree_rngs
 from tree_oracles import (
+    Internal,
+    Leaf,
+    flat,
     forest_by_feature,
     gbm_by_feature,
+    gbm_nodes,
     grow_by_feature,
+    nodes,
     predict_forest,
     predict_gbm,
     predict_tree,
@@ -92,7 +95,7 @@ XOR_Y = np.array([1.0, 2.0, 10.0, 20.0])
 class TestFitCart:
     def test_xor_fixture_node_for_node(self):
         tree = fit_cart(XOR_X, XOR_Y, TreeConfig(max_depth=2, min_samples_leaf=1))
-        assert tree == Internal(
+        assert nodes(tree) == Internal(
             feature_index=0,
             threshold=0.5,
             left=Internal(1, 0.5, Leaf(1.0, 1), Leaf(2.0, 1)),
@@ -103,10 +106,10 @@ class TestFitCart:
         stump = fit_cart(np.array([[1.0], [2.0], [3.0], [4.0]]),
                          np.array([0.0, 0.0, 10.0, 10.0]),
                          TreeConfig(max_depth=1, min_samples_leaf=1))
-        assert stump == Internal(0, 2.5, Leaf(0.0, 2), Leaf(10.0, 2))
+        assert nodes(stump) == Internal(0, 2.5, Leaf(0.0, 2), Leaf(10.0, 2))
 
     def test_row_on_threshold_goes_left(self):
-        stump = Internal(0, 2.5, Leaf(0.0, 2), Leaf(10.0, 2))
+        stump = flat(Internal(0, 2.5, Leaf(0.0, 2), Leaf(10.0, 2)))
         assert predict_tree(stump, [2.5]) == 0.0
         assert predict_tree(stump, [2.5000001]) == 10.0
 
@@ -127,7 +130,7 @@ class TestFitCart:
             x = rng.normal(size=(n, 3))
             y = rng.normal(size=n)
             tree = fit_cart(x, y, TreeConfig(max_depth=4, min_samples_leaf=2))
-            check(tree, x, y, np.arange(n))
+            check(nodes(tree), x, y, np.arange(n))
 
     def test_unique_rows_fit_perfectly_at_depth(self):
         rng = np.random.default_rng(5)
@@ -193,14 +196,14 @@ class TestRoute:
             for _ in range(20):
                 tree = random_tree(rng, p, grid, depth=6)
                 expected = [predict_recursive(tree, row) for row in x]
-                assert trees._route(tree, cols).tolist() == expected
-                assert predict_tree_batch(tree, x).tolist() == expected
+                assert trees._route(flat(tree), cols).tolist() == expected
+                assert predict_tree_batch(flat(tree), x).tolist() == expected
 
     def test_forest_and_gbm_route_every_member_over_one_copy(self):
         rng = np.random.default_rng(22)
         grid = np.arange(-3.0, 4.0)
         x = rng.choice(grid, size=(150, 3))
-        members = tuple(random_tree(rng, 3, grid, depth=5) for _ in range(6))
+        members = tuple(flat(random_tree(rng, 3, grid, depth=5)) for _ in range(6))
         forest = Forest(trees=members, config=ForestConfig(n_trees=6))
         gbm = GbmModel(init_value=0.25, stages=members, learning_rate=0.3)
         assert predict_forest_batch(forest, x).tolist() == [predict_forest(forest, r) for r in x]
@@ -239,21 +242,16 @@ def count_calls(monkeypatch, name):
     return calls
 
 
-def internal_nodes(node):
-    if isinstance(node, Leaf):
-        return 0
-    return 1 + internal_nodes(node.left) + internal_nodes(node.right)
-
-
 class TestBinnedSplits:
     def test_cart_and_gbm_equal_the_per_feature_grower(self, monkeypatch):
         scored = count_calls(monkeypatch, "_bin_split")
         deferred = count_calls(monkeypatch, "_choose_split")
 
         def check(x, y, cfg, trial):
-            assert fit_cart(x, y, cfg) == grow_by_feature(x, y, cfg), f"trial {trial}"
+            assert nodes(fit_cart(x, y, cfg)) == grow_by_feature(x, y, cfg), f"trial {trial}"
             gcfg = GbmConfig(n_stages=4, learning_rate=0.3, tree=cfg)
-            assert fit_gbm(x, y, gcfg) == gbm_by_feature(x, y, 4, 0.3, cfg), f"trial {trial}"
+            assert gbm_nodes(fit_gbm(x, y, gcfg)) == gbm_nodes(gbm_by_feature(x, y, 4, 0.3, cfg)), \
+                f"trial {trial}"
 
         rng = np.random.default_rng(909)
         for trial in range(60):
@@ -287,7 +285,7 @@ class TestBinnedSplits:
         x = rng.normal(size=(400, 5))
         y = 10.0 * (x[:, 0] > 0) + 5.0 * x[:, 1] + rng.normal(scale=0.1, size=400)
         tree = fit_cart(x, y, TreeConfig(max_depth=6, min_samples_leaf=5))
-        assert calls[0] < internal_nodes(tree) / 4
+        assert calls[0] < np.count_nonzero(tree.feature >= 0) / 4
 
 
 def _node(columns, y, band):
@@ -379,12 +377,12 @@ def test_midpoint_rounding_onto_the_upper_value_takes_the_lower():
     cfg = TreeConfig(max_depth=2, min_samples_leaf=1)
     split = Internal(0, a, Leaf(0.0, 2), Leaf(10.0, 2))
     assert best_split(x[:, 0], y, 1)[0] == a
-    assert fit_cart(x, y, cfg) == split
+    assert nodes(fit_cart(x, y, cfg)) == split
     gbm = fit_gbm(x, y, GbmConfig(n_stages=1, learning_rate=1.0, tree=cfg))
-    assert gbm.stages == (Internal(0, a, Leaf(-5.0, 2), Leaf(5.0, 2)),)
+    assert tuple(map(nodes, gbm.stages)) == (Internal(0, a, Leaf(-5.0, 2), Leaf(5.0, 2)),)
     forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False, features_per_split=1,
                                            tree=cfg))
-    assert forest.trees == (split,)
+    assert tuple(map(nodes, forest.trees)) == (split,)
 
 
 def friedman_like(seed=0, n=120, p=4):
@@ -404,7 +402,7 @@ class TestForest:
         tcfg = TreeConfig(max_depth=6, min_samples_leaf=2)
         forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False,
                                                features_per_split=4, tree=tcfg))
-        assert forest.trees[0] == grow_by_feature(x, y, tcfg)
+        assert nodes(forest.trees[0]) == grow_by_feature(x, y, tcfg)
         np.testing.assert_array_equal(predict_forest_batch(forest, x),
                                       predict_tree_batch(forest.trees[0], x))
 
@@ -412,9 +410,9 @@ class TestForest:
         x, y = friedman_like(seed=2, n=60)
         a = fit_forest(x, y, ForestConfig(n_trees=10, seed=7))
         b = fit_forest(x, y, ForestConfig(n_trees=10, seed=7))
-        assert a.trees == b.trees
+        assert list(map(nodes, a.trees)) == list(map(nodes, b.trees))
         c = fit_forest(x, y, ForestConfig(n_trees=10, seed=8))
-        assert a.trees != c.trees
+        assert list(map(nodes, a.trees)) != list(map(nodes, c.trees))
 
     def test_prediction_is_exact_member_mean(self):
         x, y = friedman_like(seed=3, n=50)
@@ -476,7 +474,7 @@ class TestForest:
                              min_samples_leaf=int(rng.integers(1, 4)))
             forest = fit_forest(x, y, ForestConfig(n_trees=1, bootstrap=False,
                                                    features_per_split=p, tree=cfg))
-            assert forest.trees[0] == grow_by_feature(x, y, cfg), f"trial {trial}"
+            assert nodes(forest.trees[0]) == grow_by_feature(x, y, cfg), f"trial {trial}"
 
     def test_bootstrap_trees_are_cart_on_their_samples(self):
         def same_tree(got, want):
@@ -500,7 +498,7 @@ class TestForest:
                                                    tree=cfg, seed=trial))
             for tree, tree_rng in zip(forest.trees, _tree_rngs(trial, n_trees)):
                 idx = tree_rng.integers(0, n, size=n)
-                same_tree(tree, grow_by_feature(x[idx], y[idx], cfg))
+                same_tree(nodes(tree), grow_by_feature(x[idx], y[idx], cfg))
 
     def test_feature_subsets_equal_the_per_node_oracle(self, monkeypatch):
         # Each node's own features_per_split < p subset, node for node: the
@@ -508,7 +506,8 @@ class TestForest:
         # Monotone copies of one column tie up to float noise; integer data
         # ties exactly.
         def check(x, y, cfg, trial):
-            assert fit_forest(x, y, cfg).trees == forest_by_feature(x, y, cfg), f"trial {trial}"
+            assert tuple(map(nodes, fit_forest(x, y, cfg).trees)) == forest_by_feature(x, y, cfg), \
+                f"trial {trial}"
 
         rng = np.random.default_rng(77)
         for trial in range(90):
@@ -560,7 +559,7 @@ class TestForest:
         rng = np.random.default_rng(12)
         grid = rng.normal(size=50)
         n_trees, n = 50, 20_000
-        members = tuple(random_tree(rng, 3, grid, depth=8) for _ in range(n_trees))
+        members = tuple(flat(random_tree(rng, 3, grid, depth=8)) for _ in range(n_trees))
         forest = Forest(trees=members, config=ForestConfig(n_trees=n_trees))
         x = rng.normal(size=(n, 3))
         import numpy.ma  # noqa: F401  (imported lazily by NumPy; see above)
@@ -584,7 +583,7 @@ class TestForest:
 
 class TestGbm:
     def test_two_stage_hand_model(self):
-        m = GbmModel(init_value=10.0, stages=(Leaf(1.0, 1), Leaf(2.0, 1)),
+        m = GbmModel(init_value=10.0, stages=(flat(Leaf(1.0, 1)), flat(Leaf(2.0, 1))),
                      learning_rate=0.5)
         assert predict_gbm(m, [0.0]) == 11.5
         np.testing.assert_array_equal(predict_gbm_batch(m, np.zeros((3, 1))),

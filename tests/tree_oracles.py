@@ -1,16 +1,19 @@
 """Plain reference versions of the tree code, used as test oracles.
 
-The scalar predictors route one row at a time; the batch predictors in
-`yieldcast.trees` must agree with them row for row. `grow_by_feature` is the
-recursive grower that calls `best_split` once per node and feature, which
-`fit_cart` and every `fit_gbm` stage must reproduce node for node;
-`forest_by_feature` does the same for `fit_forest` with per-node feature
-subsets.
+The scalar predictors route one row at a time through a `Tree`'s arrays;
+the batch predictors in `yieldcast.trees` must agree with them row for row.
+The oracles grow trees in a nested form of their own (`Leaf`/`Internal`):
+`nodes` turns a `Tree` into it, so a fitted tree compares with `==`, and
+`flat` turns it back into a `Tree`. `grow_by_feature` is the recursive
+grower that calls `best_split` once per node and feature, which `fit_cart`
+and every `fit_gbm` stage must reproduce node for node; `forest_by_feature`
+does the same for `fit_forest` with per-node feature subsets.
 """
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -18,21 +21,67 @@ from yieldcast.trees import (
     Forest,
     ForestConfig,
     GbmModel,
-    Internal,
-    Leaf,
+    Tree,
     TreeConfig,
-    TreeNode,
     best_split,
     predict_tree_batch,
 )
 
 
-def predict_tree(t: TreeNode, x_row: Sequence[float]) -> float:
+@dataclass(frozen=True)
+class Leaf:
+    value: float  # mean of the training targets routed here
+    n_samples: int
+
+
+@dataclass(frozen=True)
+class Internal:
+    feature_index: int
+    threshold: float
+    left: "Node"
+    right: "Node"
+
+
+Node = Union[Leaf, Internal]
+
+
+def nodes(t: Tree, i: int = 0) -> Node:
+    """The nested form of a Tree's subtree at node i."""
+    if t.feature[i] < 0:
+        return Leaf(float(t.value[i]), int(t.n_samples[i]))
+    return Internal(int(t.feature[i]), float(t.threshold[i]),
+                    nodes(t, int(t.left[i])), nodes(t, int(t.right[i])))
+
+
+def flat(node: Node) -> Tree:
+    """The Tree of a nested tree, its nodes in preorder."""
+    records = []
+
+    def walk(node):
+        if isinstance(node, Leaf):
+            records.append([-1, 0.0, -1, -1, node.value, node.n_samples])
+            return
+        record = [node.feature_index, node.threshold, len(records) + 1, -1, 0.0, 0]
+        records.append(record)
+        walk(node.left)
+        record[3] = len(records)
+        walk(node.right)
+
+    walk(node)
+    return Tree.from_records(records)
+
+
+def gbm_nodes(m: GbmModel) -> tuple:
+    """A GbmModel's fields, its stages in nested form, comparable with ==."""
+    return m.init_value, m.learning_rate, tuple(map(nodes, m.stages))
+
+
+def predict_tree(t: Tree, x_row: Sequence[float]) -> float:
     """Route one row through the tree (x[feature] <= threshold goes left)."""
-    node = t
-    while isinstance(node, Internal):
-        node = node.left if x_row[node.feature_index] <= node.threshold else node.right
-    return node.value
+    i = 0
+    while t.feature[i] >= 0:
+        i = t.left[i] if x_row[t.feature[i]] <= t.threshold[i] else t.right[i]
+    return float(t.value[i])
 
 
 def predict_forest(f: Forest, x_row: Sequence[float]) -> float:
@@ -47,11 +96,11 @@ def predict_gbm(m: GbmModel, x_row: Sequence[float]) -> float:
     )
 
 
-def grow_by_feature(x: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> TreeNode:
+def grow_by_feature(x: np.ndarray, y: np.ndarray, cfg: TreeConfig) -> Node:
     """CART by one `best_split` call per node and feature; an equal reduction
     keeps the lower feature index."""
 
-    def grow(idx: np.ndarray, depth: int) -> TreeNode:
+    def grow(idx: np.ndarray, depth: int) -> Node:
         node_y = y[idx]
         if depth >= cfg.max_depth or len(idx) < cfg.split_threshold:
             return Leaf(value=float(node_y.mean()), n_samples=len(idx))
@@ -76,13 +125,13 @@ def gbm_by_feature(x: np.ndarray, y: np.ndarray, n_stages: int, learning_rate: f
     current = np.full(len(y), init)
     stages = []
     for _ in range(n_stages):
-        stage = grow_by_feature(x, y - current, cfg)
+        stage = flat(grow_by_feature(x, y - current, cfg))
         current = current + learning_rate * predict_tree_batch(stage, x)
         stages.append(stage)
     return GbmModel(init_value=init, stages=tuple(stages), learning_rate=learning_rate)
 
 
-def forest_by_feature(x: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> tuple[TreeNode, ...]:
+def forest_by_feature(x: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> tuple[Node, ...]:
     """Each tree of `fit_forest`, replayed from its generator with `best_split`.
 
     A tree's generator first draws the bootstrap sample (all rows in order
@@ -128,7 +177,7 @@ def forest_by_feature(x: np.ndarray, y: np.ndarray, cfg: ForestConfig) -> tuple[
     return tuple(trees)
 
 
-def _tree_of(node: dict, y: np.ndarray) -> TreeNode:
+def _tree_of(node: dict, y: np.ndarray) -> Node:
     if "split" not in node:
         return Leaf(value=float(y[node["rows"]].mean()), n_samples=len(node["rows"]))
     left, right = node["children"]
