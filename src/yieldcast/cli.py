@@ -9,6 +9,7 @@ never embed paths or timestamps.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import sys
 from array import array
@@ -111,6 +112,9 @@ def _parse_inputs(args) -> tuple[dict, dict]:
                 f"warning [{name}]: skipped {len(result.row_errors)} malformed rows",
                 file=sys.stderr,
             )
+    # the parsed records live until the command ends: keep the cyclic
+    # collector from walking them again during the merge (main unfreezes)
+    gc.freeze()
     return parsed, digests
 
 
@@ -337,11 +341,7 @@ def cmd_cv(args) -> int:
     plan = evaluate.make_folds(m.n, cfg.k, cfg.seed)
     specs = model_specs(cfg.models, m.onehot, m.feature_names, cfg.seed)
 
-    if len(specs) >= 2:
-        per_model, ensemble_result = evaluate.ensemble_cv(specs, m, plan)
-    else:
-        ensemble_result = None
-        per_model = [evaluate.cross_validate(specs[0], m, plan)]
+    per_model, ensemble_result = evaluate.ensemble_cv(specs, m, plan)
 
     train, test = train_test_split(m, cfg.test_fraction, cfg.seed)
     fitted: dict[str, Any] = {spec.name: spec.fit(train.x, train.y) for spec in specs}
@@ -581,6 +581,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except YieldcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

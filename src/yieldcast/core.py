@@ -16,6 +16,7 @@ from .errors import (
     ConstantFeature,
     EmptyInput,
     InvalidConfig,
+    InvalidData,
     ShapeError,
 )
 
@@ -282,8 +283,11 @@ def fsum_columns(stack: np.ndarray) -> np.ndarray:
     stack = np.asarray(stack)
     step = max(1, _FSUM_BLOCK_CELLS // max(1, stack.shape[0]))
     out = np.empty(stack.shape[1])
-    for a in range(0, stack.shape[1], step):
-        out[a : a + step] = [math.fsum(c) for c in stack[:, a : a + step].T.tolist()]
+    try:
+        for a in range(0, stack.shape[1], step):
+            out[a : a + step] = [math.fsum(c) for c in stack[:, a : a + step].T.tolist()]
+    except OverflowError as exc:  # finite members whose sum passes the float range
+        raise InvalidData("member predictions sum past the float range") from exc
     return out
 
 

@@ -294,21 +294,24 @@ def ensemble_cv(
     m: FeatureMatrix,
     plan: FoldPlan,
     member_log: Optional[list] = None,
-) -> tuple[list[CvResult], CvResult]:
+) -> tuple[list[CvResult], Optional[CvResult]]:
     """Cross-validate each member and the unweighted average of their predictions.
 
     Returns (one CvResult per member, the ensemble's CvResult), all scored on
-    the same fits. When member_log is a list, one entry per fold is appended
-    with the test indices and each member's raw predictions, so the averaging
-    is externally checkable.
+    the same fits; one spec has no ensemble, so its second item is None. When
+    member_log is a list and there is an ensemble, one entry per fold is
+    appended with the test indices and each member's raw predictions, so the
+    averaging is externally checkable.
     """
-    if len(specs) < 2:
-        raise InvalidConfig("ensemble needs at least 2 member specs")
+    if not specs:
+        raise InvalidConfig("cross-validation needs at least 1 model spec")
     folds = _fold_predictions(specs, m, plan)
     members = [
         _scored(spec.name, m, [(test, preds[pos]) for test, preds in folds])
         for pos, spec in enumerate(specs)
     ]
+    if len(specs) == 1:
+        return members, None
     averaged = [
         (test, fsum_columns(np.stack(preds)) / len(specs)) for test, preds in folds
     ]

@@ -1,16 +1,24 @@
-"""K-nearest-neighbour regression by brute-force Euclidean scan.
+"""K-nearest-neighbour regression by an exact brute-force Euclidean scan.
 
 Numeric features are z-scored at fit time so no single unit dominates the
 distance; one-hot columns pass through unscaled, which fixes the distance
 between any two distinct categories at sqrt(2). The linear scan is the
-reference behaviour, not a placeholder for a spatial index: with stable
-argsort, ties in distance resolve to the lowest training-row index.
+reference behaviour, not a placeholder for a spatial index: a query's
+distance to a training row is `sqrt(sum(diff * diff))` over its feature
+axis, and with stable argsort, ties in distance resolve to the lowest
+training-row index.
 
-The scan runs over blocks of queries, at most `_BLOCK_CELLS` (query,
-training row, feature) cells each, so its temporaries stay bounded. Each
-query's distances are the same sum over its own feature axis as a one-row
-scan, so distances and tie order do not depend on the block; `neighbors`
-and `predict_knn` are the one-row case of the same scan.
+The scan runs in two stages over blocks of queries, at most `_BLOCK_CELLS`
+(query, training row) cells each. Stage 1 bounds every squared distance
+from one BLAS product, ||s||^2 + ||t||^2 - 2 s.t, and keeps as candidates
+the rows that could still be among a query's k nearest under a rigorous
+rounding margin (`_candidates`). Stage 2 computes the reference distance
+of those pairs only, and ranks them by (query, distance, row index). The
+reference k nearest are always among the candidates, so indices and
+distances are bit for bit those of the full scan, whatever the block; a
+block whose bounds are not finite (queries past the float range) takes the
+full scan instead. `neighbors`, `predict_knn` and `predict_knn_batch` all
+go through the same scan.
 """
 from __future__ import annotations
 
@@ -23,8 +31,11 @@ import numpy as np
 from .core import Scaler, apply_scaler, fit_scaler
 from .errors import InsufficientRows, InvalidConfig, InvalidData, ShapeError
 
-# (query, training row, feature) cells one block of the scan holds
+# (query, training row) cells one block of the scan holds
 _BLOCK_CELLS = 1 << 16
+# stage 1 bounds above this fall back to the full scan: below it, no
+# reference distance sum can overflow
+_BOUND_LIMIT = 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -72,13 +83,64 @@ def fit_knn(
     )
 
 
-def _nearest(m: KnnModel, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of each scaled query row's k nearest training
-    rows, nearest first (queries x k)."""
+def _full_scan(m: KnnModel, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The reference: every distance of every query, stable argsort."""
     diff = m.x_train - scaled[:, None, :]
     dist = np.sqrt(np.sum(diff * diff, axis=2))
     order = np.argsort(dist, axis=1, kind="stable")[:, : m.k]
     return order, np.take_along_axis(dist, order, axis=1)
+
+
+def _candidates(m: KnnModel, scaled: np.ndarray) -> Optional[np.ndarray]:
+    """(queries x rows) mask of the rows that can be among a query's k nearest,
+    or None when the bounds are not finite.
+
+    d2 = ||s||^2 + ||t||^2 - 2 s.t, from one Gram product, is within err of
+    the reference sum r = sum((t - s)^2) at every (query, row) cell. With
+    u = 2^-53, p features, S = ||s||^2 + ||t||^2 and D = ||s - t||^2 <= 2 S:
+      - the norms are off by at most gamma_p S together, and the doubled
+        dot product by 2 gamma_p sum|s_i t_i| <= gamma_p S; the sum and the
+        subtraction round by u S and u D: (2p + 1) u S + u D in all;
+      - the reference sum is off by at most (p + 2) u D;
+      - two sums that round to the same sqrt differ by up to 4 u D;
+      - rounding d2 - err or d2 + err adds u D.
+    With D <= 2 S that is (4p + 17) u S, under err = 5 (p + 4) u S.
+    Products that underflow are off by up to 2^-1075 more each, 5p per
+    cell, which the p 2^-1070 added to kth covers. So a row whose reference
+    distance ties or beats the k-th smallest has d2 - err <= kth, where kth
+    is the k-th smallest d2 + err, a bound on k rows' reference sums.
+    """
+    t = m.x_train
+    p = t.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back
+        err = np.einsum("ij,ij->i", scaled, scaled)[:, None] + np.einsum("ij,ij->i", t, t)
+        d2 = scaled @ t.T
+        d2 *= -2.0
+        d2 += err
+        err *= 5 * (p + 4) * 2.0**-53
+        hi = d2 + err
+    if not hi.max() <= _BOUND_LIMIT:  # also false for NaN
+        return None
+    d2 -= err
+    kth = np.partition(hi, m.k - 1, axis=1)[:, m.k - 1] + p * 2.0**-1070
+    return d2 <= kth[:, None]
+
+
+def _nearest(m: KnnModel, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of each scaled query row's k nearest training
+    rows, nearest first (queries x k)."""
+    mask = _candidates(m, scaled)
+    if mask is None:
+        return _full_scan(m, scaled)
+    query, row = np.nonzero(mask)  # row ascending within each query
+    diff = m.x_train[row] - scaled[query]
+    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    # stable, so equal distances keep ascending row order
+    order = np.lexsort((dist, query))
+    count = mask.sum(axis=1)
+    first = np.cumsum(count) - count
+    pick = order[first[:, None] + np.arange(m.k)]
+    return row[pick], dist[pick]
 
 
 def neighbors(m: KnnModel, x_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,7 +171,7 @@ def predict_knn_batch(m: KnnModel, x: np.ndarray) -> np.ndarray:
             f"query has shape {x.shape} but model expects (*, {m.x_train.shape[1]})"
         )
     scaled = apply_scaler(m.scaler, x)
-    step = max(1, _BLOCK_CELLS // max(1, m.x_train.size))
+    step = max(1, _BLOCK_CELLS // max(1, len(m.x_train)))
     out = np.empty(len(x))
     for a in range(0, len(x), step):
         idx, _ = _nearest(m, scaled[a : a + step])

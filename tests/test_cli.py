@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, exit codes, determinism."""
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 from pathlib import Path
@@ -89,6 +90,13 @@ class TestIngest:
         assert main([command, *flags, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {empty}: empty file: missing header row\n"
+
+    @pytest.mark.parametrize("command", ["ingest", "explore"])
+    def test_collector_unfrozen_after_the_command(self, snap, tmp_path, command):
+        # the commands freeze the parsed records for the merge; a caller in
+        # the same process gets every object back in the collector's care
+        assert main([command, *input_flags(snap), "--out", str(tmp_path)]) == 0
+        assert gc.get_freeze_count() == 0
 
 
 class TestExplore:
@@ -427,6 +435,27 @@ class TestPredict:
             assert rc == 2, kind
             err = capsys.readouterr().err
             assert "too few columns" in err and "Traceback" not in err, kind
+            assert not out.exists(), kind
+
+    def test_member_sum_past_float_range(self, tmp_path, capsys):
+        # each tree predicts a finite 1.7e308, but two of them sum past the
+        # float range before the mean divides them
+        big = flat(Leaf(1.7e308, 1))
+        models = {
+            "forest": Forest(trees=(big, big), config=ForestConfig(n_trees=2)),
+            "gbm": GbmModel(init_value=0.0, stages=(big, big), learning_rate=1.0),
+        }
+        inp = tmp_path / "rows.csv"
+        write_feature_csv(inp, ["x"], [[1.0], [2.0]])
+        for kind, model in models.items():
+            model_path = tmp_path / f"{kind}.json"
+            persist.save_model(model, model_path)
+            out = tmp_path / f"{kind}.csv"
+            rc = main(["predict", "--model", str(model_path),
+                       "--input", str(inp), "--out", str(out)])
+            assert rc == 2, kind
+            err = capsys.readouterr().err
+            assert "sum past the float range" in err and "Traceback" not in err, kind
             assert not out.exists(), kind
 
 

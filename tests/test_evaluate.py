@@ -288,10 +288,16 @@ class TestEnsembleCv:
             assert result == cross_validate(spec, m, plan)
 
     def test_needs_two_members(self):
+        # one spec is cross-validated alone, with no ensemble; none is an error
         rng = np.random.default_rng(8)
         m = matrix_from(rng.normal(size=(10, 1)), rng.normal(size=10))
+        plan = make_folds(10, k=2)
+        log: list = []
+        members, ensemble = ensemble_cv([MEAN_SPEC], m, plan, member_log=log)
+        assert ensemble is None and log == []
+        assert members == [cross_validate(MEAN_SPEC, m, plan)]
         with pytest.raises(InvalidConfig):
-            ensemble_cv([MEAN_SPEC], m, make_folds(10, k=2))
+            ensemble_cv([], m, plan)
 
     def test_failures_collected_across_all_folds(self):
         def broken_fit(x, y):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yieldcast import knn
 from yieldcast.core import apply_scaler
@@ -58,7 +60,7 @@ class TestPredict:
         queries = np.concatenate([x[:8], rng.normal(size=(15, 13)) * scale])
         for k in (1, 3, 30):
             m = fit_knn(x, y, k=k)
-            monkeypatch.setattr(knn, "_BLOCK_CELLS", queries_per_block * m.x_train.size)
+            monkeypatch.setattr(knn, "_BLOCK_CELLS", queries_per_block * len(m.x_train))
             expected = []
             for q in queries:
                 scaled = apply_scaler(m.scaler, q.reshape(1, -1))[0]
@@ -92,6 +94,69 @@ class TestPredict:
             predict_knn_batch(m, queries),
             np.array([predict_knn(m, q) for q in queries]),
         )
+
+
+def scan_oracle(m, queries):
+    """The full scan, one query at a time: (indices, distances) of each
+    query's k nearest by stable argsort of every reference distance."""
+    out = []
+    for q in queries:
+        scaled = apply_scaler(m.scaler, q.reshape(1, -1))[0]
+        diff = m.x_train - scaled
+        dist = np.sqrt(np.sum(diff * diff, axis=1))
+        idx = np.argsort(dist, kind="stable")[: m.k]
+        out.append((idx, dist[idx]))
+    return out
+
+
+@st.composite
+def scan_cases(draw):
+    """(model, queries): 1-60 features, duplicated training rows, k in
+    {1, 2, n}, and queries that repeat training rows. Data are all one-hot
+    (distances 0 or sqrt(2)), or columns scaled 1e-3..1e3, some of them
+    passed through unscaled and far from 0, so the Gram product cancels.
+    A query of 1e308 cells overflows stage 1's bounds."""
+    p, n = draw(st.integers(1, 60)), draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    onehot = p > 1 and draw(st.booleans())
+    if onehot:
+        def rows(count):
+            return np.eye(p)[rng.integers(0, p, size=count)]
+        mask = [True] * p
+    else:
+        scale = 10.0 ** rng.uniform(-3, 3, size=p)
+        mask = rng.random(p) < draw(st.sampled_from([0.0, 0.5]))
+        offset = np.where(mask, 10.0 ** rng.uniform(0, 8, size=p), 0.0)
+
+        def rows(count):
+            return offset + rng.normal(size=(count, p)) * scale
+    x = rows(n)
+    dup = draw(st.integers(0, n - 2))
+    x[n - dup :] = x[:dup]
+    k = draw(st.sampled_from(sorted({1, 2, n} & set(range(1, n + 1)))))
+    m = fit_knn(x, rng.normal(size=n), k=k, passthrough=mask)
+    picks = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    queries = np.concatenate([x[picks], rows(draw(st.integers(0, 4)))])
+    if draw(st.booleans()):
+        queries = np.concatenate([queries, np.full((1, p), 1e308)])
+    return m, queries
+
+
+class TestScanOracle:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @settings(max_examples=300)
+    @given(scan_cases())
+    def test_two_stage_scan_equals_the_full_scan(self, case):
+        m, queries = case
+        expected = scan_oracle(m, queries)
+        for q, (idx, dist) in zip(queries, expected):
+            got_idx, got_dist = neighbors(m, q)
+            assert got_idx.tolist() == idx.tolist()
+            assert got_dist.tobytes() == dist.tobytes()
+            if q[0] == 1e308:  # stage 1's bounds overflow: the full scan runs
+                assert knn._candidates(m, apply_scaler(m.scaler, q.reshape(1, -1))) is None
+        means = [math.fsum(m.y_train[idx].tolist()) / m.k for idx, _ in expected]
+        assert predict_knn_batch(m, queries).tobytes() == np.array(means).tobytes()
 
 
 class TestNeighbors:
