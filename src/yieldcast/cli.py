@@ -9,7 +9,6 @@ never embed paths or timestamps.
 from __future__ import annotations
 
 import argparse
-import gc
 import hashlib
 import sys
 from array import array
@@ -112,9 +111,6 @@ def _parse_inputs(args) -> tuple[dict, dict]:
                 f"warning [{name}]: skipped {len(result.row_errors)} malformed rows",
                 file=sys.stderr,
             )
-    # the parsed records live until the command ends: keep the cyclic
-    # collector from walking them again during the merge (main unfreezes)
-    gc.freeze()
     return parsed, digests
 
 
@@ -581,8 +577,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except YieldcastError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -12,13 +12,14 @@ The scan runs in two stages over blocks of queries, at most `_BLOCK_CELLS`
 (query, training row) cells each. Stage 1 bounds every squared distance
 from one BLAS product, ||s||^2 + ||t||^2 - 2 s.t, and keeps as candidates
 the rows that could still be among a query's k nearest under a rigorous
-rounding margin (`_candidates`). Stage 2 computes the reference distance
-of those pairs only, and ranks them by (query, distance, row index). The
-reference k nearest are always among the candidates, so indices and
-distances are bit for bit those of the full scan, whatever the block; a
-block whose bounds are not finite (queries past the float range) takes the
-full scan instead. `neighbors`, `predict_knn` and `predict_knn_batch` all
-go through the same scan.
+rounding margin (`_candidates`); a block whose bounds are not finite
+(queries past the float range) keeps every row. Stage 2 computes the
+reference distance of those pairs only, at most `_BLOCK_CELLS` (pair,
+feature) cells at a time, and ranks them by (query, distance, row index).
+The reference k nearest are always among the candidates, so indices and
+distances are bit for bit those of a full scan, whatever the block.
+`neighbors`, `predict_knn` and `predict_knn_batch` all go through the same
+scan.
 """
 from __future__ import annotations
 
@@ -33,7 +34,7 @@ from .errors import InsufficientRows, InvalidConfig, InvalidData, ShapeError
 
 # (query, training row) cells one block of the scan holds
 _BLOCK_CELLS = 1 << 16
-# stage 1 bounds above this fall back to the full scan: below it, no
+# stage 1 bounds above this keep every row as a candidate: below it, no
 # reference distance sum can overflow
 _BOUND_LIMIT = 2.0**1020
 
@@ -83,17 +84,9 @@ def fit_knn(
     )
 
 
-def _full_scan(m: KnnModel, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The reference: every distance of every query, stable argsort."""
-    diff = m.x_train - scaled[:, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    order = np.argsort(dist, axis=1, kind="stable")[:, : m.k]
-    return order, np.take_along_axis(dist, order, axis=1)
-
-
-def _candidates(m: KnnModel, scaled: np.ndarray) -> Optional[np.ndarray]:
-    """(queries x rows) mask of the rows that can be among a query's k nearest,
-    or None when the bounds are not finite.
+def _candidates(m: KnnModel, scaled: np.ndarray) -> np.ndarray:
+    """(queries x rows) mask of the rows that can be among a query's k nearest;
+    every row when the bounds are not finite.
 
     d2 = ||s||^2 + ||t||^2 - 2 s.t, from one Gram product, is within err of
     the reference sum r = sum((t - s)^2) at every (query, row) cell. With
@@ -112,17 +105,18 @@ def _candidates(m: KnnModel, scaled: np.ndarray) -> Optional[np.ndarray]:
     """
     t = m.x_train
     p = t.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow falls back
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow keeps every row
         err = np.einsum("ij,ij->i", scaled, scaled)[:, None] + np.einsum("ij,ij->i", t, t)
         d2 = scaled @ t.T
         d2 *= -2.0
         d2 += err
         err *= 5 * (p + 4) * 2.0**-53
         hi = d2 + err
-    if not hi.max() <= _BOUND_LIMIT:  # also false for NaN
-        return None
+    if not hi.max() <= _BOUND_LIMIT:  # also true for NaN
+        return np.ones(hi.shape, dtype=bool)
     d2 -= err
-    kth = np.partition(hi, m.k - 1, axis=1)[:, m.k - 1] + p * 2.0**-1070
+    hi.partition(m.k - 1, axis=1)  # in place: hi is not read again
+    kth = hi[:, m.k - 1] + p * 2.0**-1070
     return d2 <= kth[:, None]
 
 
@@ -130,11 +124,13 @@ def _nearest(m: KnnModel, scaled: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of each scaled query row's k nearest training
     rows, nearest first (queries x k)."""
     mask = _candidates(m, scaled)
-    if mask is None:
-        return _full_scan(m, scaled)
     query, row = np.nonzero(mask)  # row ascending within each query
-    diff = m.x_train[row] - scaled[query]
-    dist = np.sqrt(np.sum(diff * diff, axis=1))
+    # the gathered (pair, feature) temporaries hold at most _BLOCK_CELLS cells
+    step = max(1, _BLOCK_CELLS // m.x_train.shape[1])
+    dist = np.empty(len(row))
+    for a in range(0, len(row), step):
+        diff = m.x_train[row[a : a + step]] - scaled[query[a : a + step]]
+        dist[a : a + step] = np.sqrt(np.sum(diff * diff, axis=1))
     # stable, so equal distances keep ascending row order
     order = np.lexsort((dist, query))
     count = mask.sum(axis=1)

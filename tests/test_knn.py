@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -145,18 +146,22 @@ def scan_cases(draw):
 class TestScanOracle:
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @settings(max_examples=300)
-    @given(scan_cases())
-    def test_two_stage_scan_equals_the_full_scan(self, case):
+    @given(scan_cases(), st.sampled_from([1, 50, knn._BLOCK_CELLS]))
+    def test_two_stage_scan_equals_the_full_scan(self, case, cells):
+        # small blocks split query blocks and stage 2's pair chunks anywhere
         m, queries = case
         expected = scan_oracle(m, queries)
-        for q, (idx, dist) in zip(queries, expected):
-            got_idx, got_dist = neighbors(m, q)
-            assert got_idx.tolist() == idx.tolist()
-            assert got_dist.tobytes() == dist.tobytes()
-            if q[0] == 1e308:  # stage 1's bounds overflow: the full scan runs
-                assert knn._candidates(m, apply_scaler(m.scaler, q.reshape(1, -1))) is None
+        with mock.patch.object(knn, "_BLOCK_CELLS", cells):
+            for q, (idx, dist) in zip(queries, expected):
+                got_idx, got_dist = neighbors(m, q)
+                assert got_idx.tolist() == idx.tolist()
+                assert got_dist.tobytes() == dist.tobytes()
+                if q[0] == 1e308:  # stage 1's bounds overflow: every row is a candidate
+                    scaled = apply_scaler(m.scaler, q.reshape(1, -1))
+                    assert knn._candidates(m, scaled).all()
+            got = predict_knn_batch(m, queries)
         means = [math.fsum(m.y_train[idx].tolist()) / m.k for idx, _ in expected]
-        assert predict_knn_batch(m, queries).tobytes() == np.array(means).tobytes()
+        assert got.tobytes() == np.array(means).tobytes()
 
 
 class TestNeighbors:
