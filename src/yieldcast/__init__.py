@@ -13,7 +13,6 @@ from .core import (
     FaoRecord,
     FeatureConfig,
     FeatureMatrix,
-    PanelRow,
     PanelTable,
     Scaler,
     build_feature_matrix,
@@ -27,7 +26,6 @@ __all__ = [
     "FaoRecord",
     "FeatureConfig",
     "FeatureMatrix",
-    "PanelRow",
     "PanelTable",
     "Scaler",
     "build_feature_matrix",

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -22,8 +23,8 @@ import numpy as np
 from . import evaluate, explore, ingest, persist
 from .core import (
     NUMERIC_FEATURES,
+    PANEL_VALUES,
     FeatureConfig,
-    PanelTable,
     build_feature_matrix,
     train_test_split,
 )
@@ -65,9 +66,6 @@ MODEL_FITS = {
 }
 
 MODEL_ORDER = tuple(MODEL_FITS)
-
-# Panel columns that explore and cv correlate: the numeric features, then yield.
-PANEL_VALUES = (*NUMERIC_FEATURES, "yield_hg_ha")
 
 
 def _read_bytes(path: str | Path) -> bytes:
@@ -126,11 +124,6 @@ def _merge(parsed: dict, digests: dict, aliases: ingest.CountryAliasMap):
     )
 
 
-def _panel_values(table: PanelTable) -> np.ndarray:
-    """The PANEL_VALUES columns, one row per panel row."""
-    return np.array([[getattr(r, c) for c in PANEL_VALUES] for r in table.rows])
-
-
 def _out_dir(path: str | Path) -> Path:
     out = Path(path)
     try:
@@ -174,8 +167,7 @@ def cmd_explore(args) -> int:
     persist.write_csv(["item", "count"], freq, out / "item_frequency.csv")
 
     table, _ = _merge(parsed, digests, aliases)
-    x = _panel_values(table)
-    corr = explore.pearson_corr_matrix(x, PANEL_VALUES)
+    corr = explore.pearson_corr_matrix(table.values, PANEL_VALUES)
     persist.write_csv(
         ["feature", *corr.names],
         [[name, *corr.matrix[i]] for i, name in enumerate(corr.names)],
@@ -183,7 +175,7 @@ def cmd_explore(args) -> int:
     )
 
     if args.vif:
-        vif_values = explore.vif(x[:, : len(NUMERIC_FEATURES)], NUMERIC_FEATURES)
+        vif_values = explore.vif(table.values[:, : len(NUMERIC_FEATURES)], NUMERIC_FEATURES)
         persist.write_csv(
             ["feature", "vif"],
             [[name, vif_values[name]] for name in NUMERIC_FEATURES],
@@ -351,15 +343,12 @@ def cmd_cv(args) -> int:
         kappa[name] = _kappa_entry(test.y, yhat)
 
     eda: dict[str, Any] = {
-        "item_counts": [
-            [item, sum(1 for r in table.rows if r.item == item)]
-            for item in table.items()
-        ],
+        "item_counts": sorted(Counter(item for _, _, item in table.keys).items()),
         "n_rows": len(table),
         "year_range": list(table.year_range()),
     }
     try:
-        eda["correlation"] = explore.pearson_corr_matrix(_panel_values(table), PANEL_VALUES)
+        eda["correlation"] = explore.pearson_corr_matrix(table.values, PANEL_VALUES)
     except YieldcastError as exc:
         eda["correlation"] = {"undefined": str(exc)}
 
@@ -417,7 +406,8 @@ def _named_rows(path: str | Path, rows):
         raise FormatError(f"{path}: {exc}") from exc
 
 
-def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
+def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray, array]:
+    """(header, rows as floats, the line number of each row)."""
     rows = _named_rows(path, ingest.csv_rows(_read_bytes(path)))
     _, header = next(rows, (None, None))
     if header is None:
@@ -438,12 +428,12 @@ def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray]:
     bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
     if len(bad):
         raise InvalidData(f"{path}:{lines[bad[0]]}: non-finite cell")
-    return header, x
+    return header, x, lines
 
 
 def cmd_predict(args) -> int:
     model = persist.load_model(args.model)
-    header, x = _read_feature_csv(args.input)
+    header, x, lines = _read_feature_csv(args.input)
 
     expected = persist.KINDS[persist.model_kind_of(model)].n_features(model)
     if expected is not None and x.shape[1] != expected:
@@ -455,7 +445,11 @@ def cmd_predict(args) -> int:
         raise ShapeError(
             f"input header does not match the model's feature names {list(names)}"
         )
-    preds = persist.predict_model(model, x)
+    try:
+        preds = persist.predict_model(model, x)
+    except InvalidData as exc:
+        where = args.input if exc.row is None else f"{args.input}:{lines[exc.row]}"
+        raise InvalidData(f"{where}: {exc}") from exc
 
     persist.write_csv(["prediction"], [[float(v)] for v in preds], args.out)
     print(f"wrote {len(preds)} predictions")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Optional, Sequence
 
 import numpy as np
@@ -21,6 +22,9 @@ from .errors import (
 )
 
 NUMERIC_FEATURES = ("rain_mm", "temp_c", "pesticides_tonnes")
+# the columns of PanelTable.values: the numeric features, then the target
+PANEL_VALUES = (*NUMERIC_FEATURES, "yield_hg_ha")
+_PESTICIDES, _YIELD = map(PANEL_VALUES.index, ("pesticides_tonnes", "yield_hg_ha"))
 # cells of a stack `fsum_columns` turns into Python floats at a time
 _FSUM_BLOCK_CELLS = 1 << 16
 
@@ -63,57 +67,47 @@ class FaoRecord:
 
 
 @dataclass(frozen=True)
-class PanelRow:
-    """Merged observation: one crop in one country-year with all parameters."""
-
-    iso3: str
-    country: str
-    year: int
-    item: str
-    rain_mm: float
-    temp_c: float
-    pesticides_tonnes: float
-    yield_hg_ha: float
-
-    def __post_init__(self):
-        for name in ("rain_mm", "temp_c", "pesticides_tonnes", "yield_hg_ha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite {name} in row {self.key()}")
-        if self.pesticides_tonnes < 0 or self.yield_hg_ha < 0:
-            raise ValueError(f"negative quantity in row {self.key()}")
-
-    def key(self) -> tuple[str, int, str]:
-        return (self.iso3, self.year, self.item)
-
-
-@dataclass(frozen=True)
 class PanelTable:
-    """Ordered collection of panel rows plus merge provenance.
+    """Merged panel, one crop in one country-year per row, held as columns.
 
-    Rows are sorted by (iso3, year, item) and that key is unique.
+    `keys` are the rows' (iso3, year, item) tuples, sorted and unique;
+    `country` names each row's country; `values` (any array-like, kept as
+    a read-only float copy) has one row per key and columns in PANEL_VALUES
+    order.
     """
 
-    rows: tuple[PanelRow, ...]
+    keys: tuple[tuple[str, int, str], ...]
+    country: tuple[str, ...]
+    values: np.ndarray
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        keys = [r.key() for r in self.rows]
-        if keys != sorted(keys):
-            raise ValueError("panel rows must be sorted by (iso3, year, item)")
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate (iso3, year, item) key in panel")
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        n = len(self.keys)
+        if len(self.country) != n or values.shape != (n, len(PANEL_VALUES)):
+            raise ValueError(f"panel columns disagree: {n} keys, values {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError("non-finite value in panel")
+        if (values[:, [_PESTICIDES, _YIELD]] < 0).any():
+            raise ValueError("negative pesticides or yield in panel")
+        for a, b in pairwise(self.keys):
+            if not a < b:
+                problem = "duplicate key" if a == b else "rows not sorted by (iso3, year, item) at"
+                raise ValueError(f"panel {problem} {b}")
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.keys)
 
     def items(self) -> list[str]:
-        return sorted({r.item for r in self.rows})
+        return sorted({item for _, _, item in self.keys})
 
     def countries(self) -> list[str]:
-        return sorted({r.iso3 for r in self.rows})
+        return sorted({iso3 for iso3, _, _ in self.keys})
 
     def year_range(self) -> tuple[int, int]:
-        years = [r.year for r in self.rows]
+        years = [year for _, year, _ in self.keys]
         return (min(years), max(years))
 
 
@@ -199,33 +193,21 @@ def build_feature_matrix(table: PanelTable, cfg: FeatureConfig) -> FeatureMatrix
     if not numeric and not cfg.encode_item and not cfg.encode_country:
         raise InvalidConfig("no feature sources enabled")
 
-    names: list[str] = list(numeric)
-    onehot: list[bool] = [False] * len(numeric)
-    items = table.items() if cfg.encode_item else []
-    countries = table.countries() if cfg.encode_country else []
-    names += [f"item={it}" for it in items]
-    onehot += [True] * len(items)
-    names += [f"iso3={c}" for c in countries]
-    onehot += [True] * len(countries)
-
-    n, p = len(table), len(names)
-    x = np.zeros((n, p))
-    item_col = {it: len(numeric) + j for j, it in enumerate(items)}
-    country_col = {c: len(numeric) + len(items) + j for j, c in enumerate(countries)}
-    for i, row in enumerate(table.rows):
-        for j, col in enumerate(numeric):
-            x[i, j] = getattr(row, col)
-        if cfg.encode_item:
-            x[i, item_col[row.item]] = 1.0
-        if cfg.encode_country:
-            x[i, country_col[row.iso3]] = 1.0
+    names = list(numeric)
+    blocks = [table.values[:, [PANEL_VALUES.index(c) for c in numeric]]]
+    # (name prefix, key part, categories) of each one-hot block
+    onehots = [("item", 2, table.items())] if cfg.encode_item else []
+    onehots += [("iso3", 0, table.countries())] if cfg.encode_country else []
+    for prefix, part, cats in onehots:
+        names += [f"{prefix}={c}" for c in cats]
+        blocks.append(np.array([key[part] for key in table.keys])[:, None] == np.array(cats))
 
     return FeatureMatrix(
-        x=x,
-        y=np.array([r.yield_hg_ha for r in table.rows], dtype=float),
+        x=np.hstack(blocks, dtype=float),
+        y=table.values[:, _YIELD].copy(),
         feature_names=tuple(names),
-        row_keys=tuple(r.key() for r in table.rows),
-        onehot=tuple(onehot),
+        row_keys=table.keys,
+        onehot=tuple(j >= len(numeric) for j in range(len(names))),
     )
 
 
@@ -316,12 +298,12 @@ def train_test_split(
 __all__ = [
     "ClimateRecord",
     "FaoRecord",
-    "PanelRow",
     "PanelTable",
     "FeatureConfig",
     "FeatureMatrix",
     "Scaler",
     "NUMERIC_FEATURES",
+    "PANEL_VALUES",
     "build_feature_matrix",
     "fit_scaler",
     "apply_scaler",

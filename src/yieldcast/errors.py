@@ -19,7 +19,12 @@ class InvalidConfig(YieldcastError):
 
 
 class InvalidData(YieldcastError):
-    """Input arrays contain non-finite or otherwise unusable values."""
+    """Input arrays contain non-finite or otherwise unusable values; `row`
+    is the index of the input row at fault, where one is known."""
+
+    def __init__(self, message: str, row: int | None = None):
+        super().__init__(message)
+        self.row = row
 
 
 class ShapeError(YieldcastError):

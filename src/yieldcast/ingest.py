@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Optional
 
-from .core import ClimateRecord, FaoRecord, PanelRow, PanelTable
+from .core import ClimateRecord, FaoRecord, PanelTable
 from .errors import EmptyJoin, FormatError, InvalidConfig
 
 PESTICIDE_ITEM = "Pesticides (total)"
@@ -302,16 +302,8 @@ def merge_panel(
             elif cy not in pest_by:
                 report.dropped_for_missing["pesticides"] += 1
             else:
-                yield (iso3, rec.year, rec.item), PanelRow(
-                    iso3=iso3,
-                    country=canonical,
-                    year=rec.year,
-                    item=rec.item,
-                    rain_mm=rain_by[cy],
-                    temp_c=temp_by[cy],
-                    pesticides_tonnes=pest_by[cy],
-                    yield_hg_ha=rec.value,
-                )
+                values = (rain_by[cy], temp_by[cy], pest_by[cy], rec.value)
+                yield (iso3, rec.year, rec.item), (canonical, values)
 
     rows = _keep_last(joined(), report, "yields")
 
@@ -321,16 +313,20 @@ def merge_panel(
         raise EmptyJoin(
             "merge produced zero rows: check year overlap and country aliases"
         )
-    ordered = tuple(rows[k] for k in sorted(rows))
-    years = [r.year for r in ordered]
-    report.year_range = (min(years), max(years))
-    report.country_count = len({r.iso3 for r in ordered})
+    keys = tuple(sorted(rows))
+    table = PanelTable(
+        keys=keys,
+        country=tuple(rows[k][0] for k in keys),
+        values=[rows[k][1] for k in keys],
+    )
+    report.year_range = table.year_range()
+    report.country_count = len(table.countries())
 
     # JSON-shaped, so the provenance of a panel read back from disk compares equal
-    provenance = {"merge": dict(asdict(report), year_range=list(report.year_range))}
+    table.provenance["merge"] = dict(asdict(report), year_range=list(report.year_range))
     if source_digests:
-        provenance["source_digests"] = dict(source_digests)
-    return PanelTable(rows=ordered, provenance=provenance), report
+        table.provenance["source_digests"] = dict(source_digests)
+    return table, report
 
 
 __all__ = [

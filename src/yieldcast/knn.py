@@ -12,8 +12,9 @@ The scan runs in two stages over blocks of queries, at most `_BLOCK_CELLS`
 (query, training row) cells each. Stage 1 bounds every squared distance
 from one BLAS product, ||s||^2 + ||t||^2 - 2 s.t, and keeps as candidates
 the rows that could still be among a query's k nearest under a rigorous
-rounding margin (`_candidates`); a block whose bounds are not finite
-(queries past the float range) keeps every row. Stage 2 computes the
+rounding margin (`_candidates`); a query whose bounds are not finite
+(scaled values past the float range) cannot be ranked and raises
+InvalidData. Stage 2 computes the
 reference distance of those pairs only, at most `_BLOCK_CELLS` (pair,
 feature) cells at a time, and ranks them by (query, distance, row index).
 The reference k nearest are always among the candidates, so indices and
@@ -23,18 +24,17 @@ scan.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Scaler, apply_scaler, fit_scaler
+from .core import Scaler, apply_scaler, fit_scaler, fsum_columns
 from .errors import InsufficientRows, InvalidConfig, InvalidData, ShapeError
 
 # (query, training row) cells one block of the scan holds
 _BLOCK_CELLS = 1 << 16
-# stage 1 bounds above this keep every row as a candidate: below it, no
+# a query with a stage 1 bound above this cannot be ranked: below it, no
 # reference distance sum can overflow
 _BOUND_LIMIT = 2.0**1020
 
@@ -85,8 +85,9 @@ def fit_knn(
 
 
 def _candidates(m: KnnModel, scaled: np.ndarray) -> np.ndarray:
-    """(queries x rows) mask of the rows that can be among a query's k nearest;
-    every row when the bounds are not finite.
+    """(queries x rows) mask of the rows that can be among a query's k nearest.
+    A query whose bounds are not finite, or so large that a reference
+    distance could overflow, raises InvalidData with its row in `scaled`.
 
     d2 = ||s||^2 + ||t||^2 - 2 s.t, from one Gram product, is within err of
     the reference sum r = sum((t - s)^2) at every (query, row) cell. With
@@ -105,7 +106,7 @@ def _candidates(m: KnnModel, scaled: np.ndarray) -> np.ndarray:
     """
     t = m.x_train
     p = t.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow keeps every row
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is caught below
         err = np.einsum("ij,ij->i", scaled, scaled)[:, None] + np.einsum("ij,ij->i", t, t)
         d2 = scaled @ t.T
         d2 *= -2.0
@@ -113,7 +114,8 @@ def _candidates(m: KnnModel, scaled: np.ndarray) -> np.ndarray:
         err *= 5 * (p + 4) * 2.0**-53
         hi = d2 + err
     if not hi.max() <= _BOUND_LIMIT:  # also true for NaN
-        return np.ones(hi.shape, dtype=bool)
+        row = int(np.argmin(hi.max(axis=1) <= _BOUND_LIMIT))
+        raise InvalidData("knn query is too far out to rank its neighbours", row=row)
     d2 -= err
     hi.partition(m.k - 1, axis=1)  # in place: hi is not read again
     kth = hi[:, m.k - 1] + p * 2.0**-1070
@@ -157,7 +159,7 @@ def neighbors(m: KnnModel, x_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def predict_knn(m: KnnModel, x_row: np.ndarray) -> float:
     """Unweighted mean target over the k nearest neighbours."""
     idx, _ = neighbors(m, x_row)
-    return math.fsum(m.y_train[idx].tolist()) / m.k
+    return float(fsum_columns(m.y_train[idx, None])[0] / m.k)
 
 
 def predict_knn_batch(m: KnnModel, x: np.ndarray) -> np.ndarray:
@@ -170,8 +172,11 @@ def predict_knn_batch(m: KnnModel, x: np.ndarray) -> np.ndarray:
     step = max(1, _BLOCK_CELLS // max(1, len(m.x_train)))
     out = np.empty(len(x))
     for a in range(0, len(x), step):
-        idx, _ = _nearest(m, scaled[a : a + step])
-        out[a : a + step] = [math.fsum(ys) / m.k for ys in m.y_train[idx].tolist()]
+        try:
+            idx, _ = _nearest(m, scaled[a : a + step])
+        except InvalidData as exc:  # name the row of x, not of the block
+            raise InvalidData(str(exc), row=a + exc.row) from None
+        out[a : a + step] = fsum_columns(m.y_train[idx].T) / m.k
     return out
 
 

@@ -23,8 +23,9 @@ from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import PanelRow, PanelTable, Scaler, fsum_columns
-from .errors import FormatError, InvalidConfig, IoError, ShapeError, UnsupportedVersion
+from .core import PANEL_VALUES, PanelTable, Scaler, fsum_columns
+from .errors import FormatError, InvalidConfig, InvalidData, IoError, ShapeError
+from .errors import UnsupportedVersion
 from .knn import KnnModel, predict_knn_batch
 from .linear import LinearModel, predict_linear
 from .trees import (
@@ -41,16 +42,9 @@ from .trees import (
 FORMAT_VERSION = 1
 MODEL_FORMAT_VERSION = 2  # trees as node arrays; version 1 model documents are still read
 
-PANEL_COLUMNS = (
-    "iso3",
-    "country",
-    "year",
-    "item",
-    "rain_mm",
-    "temp_c",
-    "pesticides_tonnes",
-    "yield_hg_ha",
-)
+PANEL_COLUMNS = ("iso3", "country", "year", "item", *PANEL_VALUES)
+# the JSON types a panel row's cells may hold: no booleans, no numeric strings
+_PANEL_CELL_TYPES = ((str,), (str,), (int,), (str,)) + ((int, float),) * len(PANEL_VALUES)
 
 
 @dataclass(frozen=True)
@@ -423,22 +417,29 @@ def load_model(path: str | Path) -> Any:
 
 
 def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
-    """Predict with any supported model object (dispatch by kind) on enough columns."""
+    """Predict with any supported model object (dispatch by kind) on enough
+    columns; a non-finite prediction, an ensemble member's included, raises
+    InvalidData with its row."""
     try:
-        entry = KINDS[model_kind_of(model)]
+        kind = model_kind_of(model)
     except InvalidConfig:
         raise InvalidConfig(f"cannot predict with {type(model).__name__}") from None
     try:
-        return entry.predict(model, x)
+        out = KINDS[kind].predict(model, x)
     except IndexError as exc:
         raise ShapeError(f"input has too few columns for this model: {exc}") from exc
+    bad = np.flatnonzero(~np.isfinite(out))
+    if len(bad):
+        raise InvalidData(f"{kind} predicts {out[bad[0]]}", row=int(bad[0]))
+    return out
 
 
 # -------------------------------------------------------------------- panel
 
 
 def save_panel(table: PanelTable, path: str | Path) -> None:
-    rows = [[getattr(r, c) for c in PANEL_COLUMNS] for r in table.rows]
+    columns = zip(table.keys, table.country, table.values.tolist())
+    rows = [[iso3, country, year, item, *v] for (iso3, year, item), country, v in columns]
     write_json(
         {
             "format_version": FORMAT_VERSION,
@@ -460,22 +461,24 @@ def load_panel(path: str | Path) -> PanelTable:
     provenance = doc.get("provenance", {})
     if not isinstance(provenance, dict):
         raise FormatError(f"{path}: provenance must be an object")
+    rows = doc.get("rows")
+    if not isinstance(rows, list):
+        raise FormatError(f"{path}: rows must be a list")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, list) and len(row) == len(PANEL_COLUMNS)
+                and all(type(v) in t for v, t in zip(row, _PANEL_CELL_TYPES))):
+            raise FormatError(f"{path}: panel row {i} is not iso3, country, year, item "
+                              f"as JSON strings and an integer, then numbers: {row!r}")
     try:
-        rows = tuple(
-            PanelRow(
-                iso3=str(v[0]),
-                country=str(v[1]),
-                year=int(v[2]),
-                item=str(v[3]),
-                rain_mm=float(v[4]),
-                temp_c=float(v[5]),
-                pesticides_tonnes=float(v[6]),
-                yield_hg_ha=float(v[7]),
-            )
-            for v in doc["rows"]
+        return PanelTable(
+            keys=tuple((iso3, year, item) for iso3, _, year, item, *_ in rows),
+            country=tuple(row[1] for row in rows),
+            values=np.array([row[4:] for row in rows], dtype=float).reshape(
+                len(rows), len(PANEL_VALUES)
+            ),
+            provenance=provenance,
         )
-        return PanelTable(rows=rows, provenance=provenance)
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: corrupted panel payload: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: subcommands, exit codes, determinism."""
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from pathlib import Path
@@ -42,12 +43,27 @@ class TestIngest:
         rc = main(["ingest", *input_flags(snap), "--out", str(tmp_path)])
         assert rc == 0
         table = persist.load_panel(tmp_path / "panel.json")
-        assert len(table.rows) == 96
+        assert len(table.keys) == len(table.country) == len(table.values) == 96
         assert table.year_range() == (1999, 2010)
         report = persist.read_json(tmp_path / "merge_report.json")
         assert report["rows_out"] == 96
         out = capsys.readouterr().out
         assert "rows out: 96" in out and "years: 1999-2010" in out
+
+    def test_snapshot_outputs_are_pinned(self, tmp_path):
+        # sha256 of what ingest writes for this snapshot: how the panel is
+        # held in memory must not change a byte of either file
+        paths = synth.write_snapshot(tmp_path / "snap")
+        assert main(["ingest", *input_flags(paths), "--out", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("panel.json", "merge_report.json")
+        }
+        assert digests == {
+            "panel.json": "2aa1914199165dfe7acaf03fff949cbefa36c6b6214ca172bbd3c498a09d49cb",
+            "merge_report.json":
+                "5709b311a2cc8ba2f82eee94669594c6d04e6ceb2bf014a1f0f291862ea255a6",
+        }
 
     def test_missing_input_file(self, snap, tmp_path):
         flags = input_flags(snap)
@@ -228,6 +244,54 @@ class TestCv:
         assert f"{next(iter(setting))} must be true or false" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
 
+    # Each edit of row 0 would keep the keys sorted if the cell were coerced
+    # (1999.5 to 1999, 7 to "7", "1e3" to 1000.0), so only the cell types can
+    # reject it.
+    @pytest.mark.parametrize(
+        "column, edit",
+        [
+            (2, lambda year: year + 0.5),
+            (2, str),
+            (2, lambda year: True),
+            (0, lambda iso3: 7),
+            (1, lambda country: None),
+            (3, lambda item: 5),
+            (4, lambda rain: True),
+            (4, lambda rain: "1e3"),
+        ],
+        ids=["fractional-year", "string-year", "boolean-year", "numeric-iso3",
+             "null-country", "numeric-item", "boolean-rain", "string-rain"],
+    )
+    def test_panel_cells_are_typed(self, panel_dir, tmp_path, capsys, column, edit):
+        doc = persist.read_json(panel_dir / "panel.json")
+        doc["rows"][0][column] = edit(doc["rows"][0][column])
+        panel = tmp_path / "panel.json"
+        panel.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main(["cv", "--panel", str(panel), "--out", str(out),
+                   "--models", "ols", "--k", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"error: {panel}: panel row 0 is not" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_fold_predictions_fail_the_fold(self, panel_dir, tmp_path, capsys):
+        # a finite but huge rain cell: SGD predicts inf for it and k-NN cannot
+        # rank it, and each is a failed fold, not a metric error or a score
+        doc = persist.read_json(panel_dir / "panel.json")
+        doc["rows"][3][4] = 1e308
+        panel = tmp_path / "panel.json"
+        panel.write_text(json.dumps(doc))
+        rc = main(["cv", "--panel", str(panel), "--out", str(tmp_path / "out"),
+                   "--models", "sgd,knn", "--k", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "fold(s) failed" in err and "Traceback" not in err
+        assert "sgd: sgd predicts inf" in err
+        assert "knn: knn query is too far out to rank" in err
+        assert not (tmp_path / "out").exists()
+
     def test_reruns_are_byte_identical(self, panel_dir, tmp_path, capsys):
         outs = []
         for sub in ("one", "two"):
@@ -254,6 +318,16 @@ def ols_model_path(panel_dir, tmp_path_factory):
                "--models", "ols", "--no-encode-item"])
     assert rc == 0
     return out / "models" / "ols.json"
+
+
+@pytest.fixture(scope="module")
+def plain_models(panel_dir, tmp_path_factory):
+    """ols, sgd, knn and ensemble model files on the three numeric columns."""
+    out = tmp_path_factory.mktemp("cv-plain-models")
+    rc = main(["cv", "--panel", str(panel_dir / "panel.json"), "--out", str(out),
+               "--models", "ols,sgd,knn", "--k", "2", "--no-encode-item"])
+    assert rc == 0
+    return out / "models"
 
 
 def write_feature_csv(path, header, rows):
@@ -355,9 +429,10 @@ class TestPredict:
                 tracemalloc.stop()
 
         _, rows_peak = peak(lambda: sum(1 for _ in ingest.csv_rows(data)))
-        (header, x), reader_peak = peak(lambda: cli._read_feature_csv(inp))
+        (header, x, lines), reader_peak = peak(lambda: cli._read_feature_csv(inp))
         assert header == [f"f{j}" for j in range(13)]
         np.testing.assert_array_equal(x, rows)
+        assert list(lines) == list(range(2, 5002))
         assert reader_peak - rows_peak < 3 * x.nbytes, (reader_peak - rows_peak) / x.nbytes
 
     def test_malformed_ensemble_file(self, ols_model_path, tmp_path, capsys):
@@ -428,6 +503,37 @@ class TestPredict:
             err = capsys.readouterr().err
             assert "too few columns" in err and "Traceback" not in err, kind
             assert not out.exists(), kind
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", ["ols", "sgd", "knn", "ensemble"])
+    def test_huge_cell_is_refused(self, plain_models, tmp_path, capsys, kind):
+        # 1e308 is a finite cell, but ols, sgd and the ensemble predict an
+        # infinity from it, and knn finds every distance inf
+        inp = tmp_path / "rows.csv"
+        write_feature_csv(inp, self.HEADER, [self.ROWS[0], [1e308, 18.0, 5000.0]])
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(plain_models / f"{kind}.json"),
+                   "--input", str(inp), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {inp}:3: " in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_gbm_prediction_is_refused(self, tmp_path, capsys):
+        # a finite init value and stage sum whose total passes the float range
+        model = GbmModel(init_value=1.7e308, stages=(flat(Leaf(1.7e308, 1)),),
+                         learning_rate=1.0)
+        model_path = tmp_path / "gbm.json"
+        persist.save_model(model, model_path)
+        inp = tmp_path / "rows.csv"
+        write_feature_csv(inp, ["x"], [[1.0], [2.0]])
+        out = tmp_path / "p.csv"
+        rc = main(["predict", "--model", str(model_path), "--input", str(inp),
+                   "--out", str(out)])
+        assert rc == 2
+        assert f"error: {inp}:2: gbm predicts inf" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_member_sum_past_float_range(self, tmp_path, capsys):
         # each tree predicts a finite 1.7e308, but two of them sum past the

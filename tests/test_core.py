@@ -14,7 +14,7 @@ from yieldcast.core import (
     FaoRecord,
     FeatureConfig,
     FeatureMatrix,
-    PanelRow,
+    PANEL_VALUES,
     PanelTable,
     apply_scaler,
     build_feature_matrix,
@@ -31,11 +31,15 @@ from yieldcast.errors import (
 
 
 def make_row(iso3="AFG", country="Afghanistan", year=2000, item="Maize",
-             rain=500.0, temp=15.0, pest=100.0, yld=30000.0) -> PanelRow:
-    return PanelRow(
-        iso3=iso3, country=country, year=year, item=item,
-        rain_mm=rain, temp_c=temp, pesticides_tonnes=pest, yield_hg_ha=yld,
-    )
+             rain=500.0, temp=15.0, pest=100.0, yld=30000.0):
+    """(key, country, values) of one panel row."""
+    return (iso3, year, item), country, [rain, temp, pest, yld]
+
+
+def make_table(*rows) -> PanelTable:
+    keys, countries, values = zip(*rows) if rows else ((), (), ())
+    values = np.array(values, dtype=float).reshape(len(rows), len(PANEL_VALUES))
+    return PanelTable(keys=keys, country=countries, values=values)
 
 
 class TestRecords:
@@ -61,34 +65,62 @@ class TestRecords:
         with pytest.raises(ValueError):
             FaoRecord(area="Kenya", item="Maize", year=2000, unit="hg/ha", value=-1.0)
 
-    def test_panel_row_rejects_nonfinite_and_negative(self):
-        with pytest.raises(ValueError):
-            make_row(rain=float("nan"))
-        with pytest.raises(ValueError):
-            make_row(yld=-1.0)
-
-    def test_panel_row_key(self):
-        assert make_row().key() == ("AFG", 2000, "Maize")
-
 
 class TestPanelTable:
+    def test_keys_and_country_columns(self):
+        table = make_table(make_row(), make_row(iso3="KEN", country="Kenya"))
+        assert table.keys == (("AFG", 2000, "Maize"), ("KEN", 2000, "Maize"))
+        assert table.country == ("Afghanistan", "Kenya")
+        assert table.values.tolist() == [[500.0, 15.0, 100.0, 30000.0]] * 2
+
+    def test_rejects_nonfinite_and_negative(self):
+        for column in ("rain", "temp", "pest", "yld"):
+            for value in (float("nan"), float("inf"), -float("inf")):
+                with pytest.raises(ValueError, match="non-finite"):
+                    make_table(make_row(), make_row(year=2001, **{column: value}))
+        for column in ("pest", "yld"):
+            with pytest.raises(ValueError, match="negative"):
+                make_table(make_row(**{column: -1.0}))
+        # rainfall and temperature may be negative
+        assert make_table(make_row(rain=-0.0, temp=-12.5)).values[0, 1] == -12.5
+
     def test_requires_sorted_rows(self):
-        rows = (make_row(year=2001), make_row(year=2000))
         with pytest.raises(ValueError, match="sorted"):
-            PanelTable(rows=rows)
+            make_table(make_row(year=2001), make_row(year=2000))
 
     def test_rejects_duplicate_keys(self):
-        rows = (make_row(), make_row(yld=999.0))
         with pytest.raises(ValueError, match="duplicate"):
-            PanelTable(rows=rows)
+            make_table(make_row(), make_row(yld=999.0))
+
+    @pytest.mark.parametrize("drop", ["keys", "country", "values"])
+    def test_rejects_unequal_lengths(self, drop):
+        columns = {"keys": (("AFG", 2000, "Maize"), ("AFG", 2001, "Maize")),
+                   "country": ("Afghanistan",) * 2, "values": np.ones((2, 4))}
+        columns[drop] = columns[drop][:1]
+        with pytest.raises(ValueError, match="disagree"):
+            PanelTable(**columns)
+
+    def test_rejects_values_of_the_wrong_width(self):
+        with pytest.raises(ValueError, match="disagree"):
+            PanelTable(keys=(("AFG", 2000, "Maize"),), country=("Afghanistan",),
+                       values=np.ones((1, 3)))
+
+    def test_values_are_a_read_only_copy(self):
+        values = np.array([[500.0, 15.0, 100.0, 30000.0]])
+        table = PanelTable(keys=(("AFG", 2000, "Maize"),), country=("Afghanistan",),
+                           values=values)
+        assert not table.values.flags.writeable
+        with pytest.raises(ValueError):
+            table.values[0, 0] = 1.0
+        values[0, 0] = 1.0  # the caller's array stays writable and apart
+        assert table.values[0, 0] == 500.0
 
     def test_accessors(self):
-        rows = (
+        table = make_table(
             make_row(iso3="AFG", item="Wheat", year=2000),
             make_row(iso3="KEN", country="Kenya", item="Maize", year=1995),
             make_row(iso3="KEN", country="Kenya", item="Maize", year=2003),
         )
-        table = PanelTable(rows=rows)
         assert len(table) == 3
         assert table.items() == ["Maize", "Wheat"]
         assert table.countries() == ["AFG", "KEN"]
@@ -109,11 +141,11 @@ class TestFeatureConfig:
 class TestBuildFeatureMatrix:
     @pytest.fixture()
     def table(self):
-        return PanelTable(rows=(
+        return make_table(
             make_row(iso3="AFG", item="Maize", rain=400.0, temp=14.0, pest=50.0, yld=10000.0),
             make_row(iso3="AFG", item="Wheat", rain=400.0, temp=14.0, pest=50.0, yld=20000.0),
             make_row(iso3="KEN", country="Kenya", item="Maize", rain=900.0, temp=22.0, pest=75.0, yld=15000.0),
-        ))
+        )
 
     def test_column_layout_numeric_then_item_block(self, table):
         m = build_feature_matrix(table, FeatureConfig())
@@ -138,7 +170,7 @@ class TestBuildFeatureMatrix:
 
     def test_empty_table_rejected(self):
         with pytest.raises(EmptyInput):
-            build_feature_matrix(PanelTable(rows=()), FeatureConfig())
+            build_feature_matrix(make_table(), FeatureConfig())
 
     def test_no_feature_sources_rejected(self, table):
         cfg = FeatureConfig(

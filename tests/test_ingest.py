@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import synth
 from conftest import parse_snapshot
-from yieldcast.core import ClimateRecord, FaoRecord
+from yieldcast.core import PANEL_VALUES, ClimateRecord, FaoRecord
 from yieldcast.errors import EmptyJoin, FormatError, InvalidConfig, YieldcastError
 from yieldcast.ingest import (
     PESTICIDE_ITEM,
@@ -268,13 +268,11 @@ class TestMergePanel:
 
     def test_merge_accounting_is_exact(self):
         table, report = merge_panel(*self.make_inputs(), ALIASES)
-        assert [r.key() for r in table.rows] == [
-            ("KEN", 2000, "Maize"), ("KEN", 2001, "Wheat"),
-        ]
-        maize = table.rows[0]
-        assert maize.yield_hg_ha == 16000.0  # duplicate keeps the last value
-        assert (maize.rain_mm, maize.temp_c, maize.pesticides_tonnes) == (600.0, 24.0, 100.0)
-        assert maize.country == "Kenya"
+        assert table.keys == (("KEN", 2000, "Maize"), ("KEN", 2001, "Wheat"))
+        assert table.country == ("Kenya", "Kenya")
+        # PANEL_VALUES order: rain, temp, pesticides, yield; the duplicate
+        # maize row keeps the last yield
+        assert table.values[0].tolist() == [600.0, 24.0, 100.0, 16000.0]
 
         assert report.rows_in == {"rain": 3, "temp": 3, "pesticides": 3, "yields": 7}
         assert report.rows_out == 2
@@ -299,7 +297,7 @@ class TestMergePanel:
         rain.append(climate("KEN", 2000, 999.0))
         table, report = merge_panel(rain, temp, pesticides, yields, ALIASES)
         assert report.duplicate_rows["rain"] == 1
-        assert table.rows[0].rain_mm == 999.0
+        assert table.values[0, PANEL_VALUES.index("rain_mm")] == 999.0
 
     def test_empty_join_raises(self):
         rain = [climate("KEN", 1990, 1.0)]

@@ -150,18 +150,50 @@ class TestScanOracle:
     def test_two_stage_scan_equals_the_full_scan(self, case, cells):
         # small blocks split query blocks and stage 2's pair chunks anywhere
         m, queries = case
-        expected = scan_oracle(m, queries)
+        far = queries[:, 0] == 1e308  # stage 1's bounds overflow: no ranking
+        expected = scan_oracle(m, queries[~far])
         with mock.patch.object(knn, "_BLOCK_CELLS", cells):
-            for q, (idx, dist) in zip(queries, expected):
+            for q, (idx, dist) in zip(queries[~far], expected):
                 got_idx, got_dist = neighbors(m, q)
                 assert got_idx.tolist() == idx.tolist()
                 assert got_dist.tobytes() == dist.tobytes()
-                if q[0] == 1e308:  # stage 1's bounds overflow: every row is a candidate
-                    scaled = apply_scaler(m.scaler, q.reshape(1, -1))
-                    assert knn._candidates(m, scaled).all()
-            got = predict_knn_batch(m, queries)
+            for q in queries[far]:
+                with pytest.raises(InvalidData, match="too far out") as err:
+                    neighbors(m, q)
+                assert err.value.row == 0
+            if far.any():
+                with pytest.raises(InvalidData) as err:
+                    predict_knn_batch(m, queries)
+                assert err.value.row == len(queries) - 1
+            got = predict_knn_batch(m, queries[~far])
         means = [math.fsum(m.y_train[idx].tolist()) / m.k for idx, _ in expected]
         assert got.tobytes() == np.array(means).tobytes()
+
+
+class TestUnrankableQueries:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("queries_per_block", [1, 3, 100])
+    @pytest.mark.parametrize("cell", [1e308, -1e308, 1e200])
+    def test_batch_names_the_row_of_x(self, monkeypatch, queries_per_block, cell):
+        # every distance of such a query is inf, so a ranking would give the
+        # mean target of training rows 0..k-1 whatever the query
+        x, y = mixed_scale_data(seed=6, n=20)
+        m = fit_knn(x, y, k=3)
+        monkeypatch.setattr(knn, "_BLOCK_CELLS", queries_per_block * len(m.x_train))
+        queries = np.concatenate([x[:10], x[:10]])
+        queries[7, 1] = cell
+        with pytest.raises(InvalidData, match="too far out to rank") as err:
+            predict_knn_batch(m, queries)
+        assert err.value.row == 7
+        with pytest.raises(InvalidData):
+            predict_knn(m, queries[7])
+
+    def test_nan_query_is_refused(self):
+        x, y = mixed_scale_data(seed=6, n=20)
+        m = fit_knn(x, y, k=3)
+        with pytest.raises(InvalidData) as err:
+            predict_knn_batch(m, np.array([x[0], [np.nan, 0.0, 0.0]]))
+        assert err.value.row == 1
 
 
 class TestNeighbors:

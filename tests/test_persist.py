@@ -21,6 +21,7 @@ from yieldcast.cli import main
 from yieldcast.errors import (
     FormatError,
     InvalidConfig,
+    InvalidData,
     IoError,
     ShapeError,
     UnsupportedVersion,
@@ -34,7 +35,7 @@ from yieldcast.evaluate import (
     make_folds,
 )
 from yieldcast.knn import fit_knn
-from yieldcast.linear import SgdConfig, fit_ols, fit_sgd
+from yieldcast.linear import LinearModel, SgdConfig, fit_ols, fit_sgd
 from yieldcast.persist import (
     EnsembleModel,
     canonical_json,
@@ -392,6 +393,18 @@ class TestModelRoundTrip:
         ) / len(ens.members)
         np.testing.assert_array_equal(predict_model(ens, x), expected)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_prediction_names_its_row(self):
+        # 1e308 is a finite input. The members predict inf and -inf for it,
+        # whose fsum would raise a ValueError rather than InvalidData.
+        up = LinearModel(coefficients=np.array([2.0]), intercept=0.0)
+        down = LinearModel(coefficients=np.array([-2.0]), intercept=0.0)
+        x = np.array([[1.0], [1e308], [-1e308]])
+        for model in (up, EnsembleModel(members=(("up", up), ("down", down)))):
+            with pytest.raises(InvalidData, match="ols predicts inf") as err:
+                predict_model(model, x)
+            assert err.value.row == 1
+
     def test_ensemble_needs_two_members(self, fitted_models):
         models, _ = fitted_models
         with pytest.raises(InvalidConfig):
@@ -563,7 +576,8 @@ class TestPanelRoundTrip:
         path = tmp_path / "panel.json"
         save_panel(table, path)
         loaded = load_panel(path)
-        assert loaded.rows == table.rows
+        assert loaded.keys == table.keys and loaded.country == table.country
+        assert loaded.values.tobytes() == table.values.tobytes()
         assert loaded.provenance == table.provenance
         resaved = tmp_path / "panel2.json"
         save_panel(loaded, resaved)
