@@ -25,7 +25,8 @@ NUMERIC_FEATURES = ("rain_mm", "temp_c", "pesticides_tonnes")
 # the columns of PanelTable.values: the numeric features, then the target
 PANEL_VALUES = (*NUMERIC_FEATURES, "yield_hg_ha")
 _PESTICIDES, _YIELD = map(PANEL_VALUES.index, ("pesticides_tonnes", "yield_hg_ha"))
-# cells of a stack `fsum_columns` turns into Python floats at a time
+# cells that `fsum_columns` turns into Python floats at a time, for
+# math.fsum of the columns it cannot certify
 _FSUM_BLOCK_CELLS = 1 << 16
 
 
@@ -258,16 +259,75 @@ def apply_scaler(s: Scaler, x: np.ndarray) -> np.ndarray:
     return (x - s.means) / s.stds
 
 
+def _two_sum(a, b, total, err, tmp) -> None:
+    """Knuth's TwoSum into buffers: total = fl(a + b) and err = a + b - total
+    exactly, barring overflow. err may be b; total and tmp alias neither."""
+    np.add(a, b, out=total)
+    np.subtract(total, a, out=tmp)
+    np.subtract(b, tmp, out=err)
+    np.subtract(total, tmp, out=tmp)
+    np.subtract(a, tmp, out=tmp)
+    np.add(tmp, err, out=err)
+
+
 def fsum_columns(stack: np.ndarray) -> np.ndarray:
-    """Exactly rounded sum of each column, so member order cannot change bits."""
+    """Correctly rounded sum of each column of a (members x columns) stack,
+    equal bit for bit to math.fsum of the column, so member order cannot
+    change bits. Finite members whose sum passes the float range raise
+    InvalidData; +inf and -inf in one column raise fsum's ValueError.
+
+    One pass over the m members with whole-row vector ops (Ogita, Rump and
+    Oishi, "Accurate sum and dot product", 2005), u = 2^-53: TwoSum gives
+    the float running sum s and each step's exact error q; a second TwoSum
+    adds q into e with exact error q2, and e2 sums |q2| in floats. Then
+    (r, t) = TwoSum(s, e), so the exact sum is S = r + t + E2, where
+    |E2| <= Q = sum |q2|. fsum returns RN(S), and a column takes r when:
+      - e2 == 0: every q2 is 0, so S = s + e and r = fl(s + e) is its one
+        round to nearest even, ties included; or
+      - |t| + Q < h, half the smaller gap from r to a float neighbour: S
+        then lies strictly inside r's rounding interval. e2 adds m - 1
+        terms >= 0 with m - 2 roundings, so Q <= e2 (1 - u)^-(m-2) <=
+        e2 (1 + 2mu). The product e2 c, c = 1 + (2m + 2) u, rounds down by
+        at most a factor (1 - u), which c covers, or by 2^-1075 when it
+        underflows, which adding 2^-1074 (exact there) covers; so
+        D = fl(fl(e2 c) + 2^-1074) >= Q. Rounding is monotone and h is a
+        float, so fl(|t| + D) < h gives |t| + Q < h. The gaps are exact
+        differences of neighbours; halving the least one, 2^-1074, gives 0,
+        which certifies nothing.
+    Both cases also need A = fl(sum |a|) < 2^1021, so the exact sum of |a|
+    is below 2^1022: neither this pass nor fsum's partials can then
+    overflow, and a NaN or inf member fails it, as NaN fails every test.
+    The other columns, and only they, go to math.fsum.
+    """
+    stack = np.ascontiguousarray(stack, dtype=float)
+    m, n = stack.shape
+    if m == 0:
+        return np.zeros(n)
+    s, e, e2, a_sum = stack[0].copy(), np.zeros(n), np.zeros(n), np.abs(stack[0])
+    x, q, tmp = np.empty(n), np.empty(n), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):  # such columns are not certified
+        for a in stack[1:]:
+            _two_sum(s, a, x, q, tmp)
+            s, x = x, s
+            _two_sum(e, q, x, q, tmp)
+            e, x = x, e
+            e2 += np.abs(q, out=q)
+            a_sum += np.abs(a, out=tmp)
+        r, t = x, q
+        _two_sum(s, e, r, t, tmp)
+        half_gap = np.minimum(r - np.nextafter(r, -np.inf), np.nextafter(r, np.inf) - r)
+        half_gap *= 0.5
+        bound = np.abs(t) + (e2 * (1 + (2 * m + 2) * 2.0**-53) + 2.0**-1074)
+        certified = (a_sum < 2.0**1021) & ((e2 == 0) | (bound < half_gap))
+    out = r + 0.0  # fsum gives +0.0 for a zero sum
     # fsum reads Python floats far faster than numpy scalars, but .tolist() on
-    # the whole stack holds ~4x its size: convert _FSUM_BLOCK_CELLS at a time
-    stack = np.asarray(stack)
-    step = max(1, _FSUM_BLOCK_CELLS // max(1, stack.shape[0]))
-    out = np.empty(stack.shape[1])
+    # many columns holds ~4x their size: convert _FSUM_BLOCK_CELLS at a time
+    rest = np.flatnonzero(~certified)
+    step = max(1, _FSUM_BLOCK_CELLS // m)
     try:
-        for a in range(0, stack.shape[1], step):
-            out[a : a + step] = [math.fsum(c) for c in stack[:, a : a + step].T.tolist()]
+        for i in range(0, len(rest), step):
+            cols = rest[i : i + step]
+            out[cols] = [math.fsum(c) for c in stack[:, cols].T.tolist()]
     except OverflowError as exc:  # finite members whose sum passes the float range
         raise InvalidData("member predictions sum past the float range") from exc
     return out

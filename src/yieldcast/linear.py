@@ -92,12 +92,15 @@ def fit_ols(
         raise InvalidData("non-finite values in OLS input")
 
     a = np.column_stack([x, np.ones(n)])
-    beta, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
-    metadata = {"solver": "lstsq", "rank_deficient": False}
-    if rank < p + 1:
-        ata = a.T @ a + 1e-8 * np.eye(p + 1)
-        beta = np.linalg.solve(ata, a.T @ y)
-        metadata = {"solver": "ridge_jitter", "rank_deficient": True}
+    with np.errstate(over="ignore", invalid="ignore"):  # beta is checked below
+        beta, _, rank, _ = np.linalg.lstsq(a, y, rcond=None)
+        metadata = {"solver": "lstsq", "rank_deficient": False}
+        if rank < p + 1:
+            ata = a.T @ a + 1e-8 * np.eye(p + 1)
+            beta = np.linalg.solve(ata, a.T @ y)
+            metadata = {"solver": "ridge_jitter", "rank_deficient": True}
+    if not np.isfinite(beta).all():
+        raise InvalidData("OLS solution is not finite")
     return LinearModel(
         coefficients=beta[:p],
         intercept=float(beta[p]),

@@ -425,7 +425,8 @@ def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
     except InvalidConfig:
         raise InvalidConfig(f"cannot predict with {type(model).__name__}") from None
     try:
-        out = KINDS[kind].predict(model, x)
+        with np.errstate(over="ignore", invalid="ignore"):  # out is checked below
+            out = KINDS[kind].predict(model, x)
     except IndexError as exc:
         raise ShapeError(f"input has too few columns for this model: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(out))

@@ -292,6 +292,22 @@ class TestCv:
         assert "knn: knn query is too far out to rank" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_non_finite_ols_solution_fails_the_fold(self, panel_dir, tmp_path, capsys):
+        # the same huge rain cell gives lstsq a non-finite solution: a failed
+        # fold with only the error lines on stderr
+        doc = persist.read_json(panel_dir / "panel.json")
+        doc["rows"][3][4] = 1e308
+        panel = tmp_path / "panel.json"
+        panel.write_text(json.dumps(doc))
+        rc = main(["cv", "--panel", str(panel), "--out", str(tmp_path / "out"),
+                   "--models", "ols", "--k", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "fold(s) failed" in err and "Traceback" not in err
+        assert "ols: OLS solution is not finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_reruns_are_byte_identical(self, panel_dir, tmp_path, capsys):
         outs = []
         for sub in ("one", "two"):
@@ -504,7 +520,7 @@ class TestPredict:
             assert "too few columns" in err and "Traceback" not in err, kind
             assert not out.exists(), kind
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["ols", "sgd", "knn", "ensemble"])
     def test_huge_cell_is_refused(self, plain_models, tmp_path, capsys, kind):
         # 1e308 is a finite cell, but ols, sgd and the ensemble predict an
@@ -519,7 +535,7 @@ class TestPredict:
         assert f"error: {inp}:3: " in err and "Traceback" not in err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_non_finite_gbm_prediction_is_refused(self, tmp_path, capsys):
         # a finite init value and stage sum whose total passes the float range
         model = GbmModel(init_value=1.7e308, stages=(flat(Leaf(1.7e308, 1)),),

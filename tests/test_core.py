@@ -2,10 +2,11 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldcast import core
@@ -26,6 +27,7 @@ from yieldcast.errors import (
     ConstantFeature,
     EmptyInput,
     InvalidConfig,
+    InvalidData,
     ShapeError,
 )
 
@@ -279,6 +281,61 @@ class TestTrainTestSplit:
             train_test_split(grid_matrix(4), fraction, seed=0)
 
 
+BIG = np.finfo(float).max  # its ulp is 2^971
+
+
+def _sum_column(rng, family, m):
+    """m members of one column of a `family` of hard cases for exact sums."""
+    def pick(values):
+        return rng.choice(np.array(values, dtype=float), size=m)
+
+    if family == "wide":  # exponents from 1e-300 to 1e300
+        return rng.normal(size=m) * 10.0 ** rng.integers(-300, 301, size=m)
+    if family == "ties":  # many sums land exactly half an ulp from two floats
+        half_ulp, tiny = 2.0**-53, 2.0**-106  # of 1.0
+        scale = 2.0 ** int(rng.integers(-60, 61))
+        return scale * pick([1.0, 1.0, half_ulp, -half_ulp, 3 * half_ulp, half_ulp / 2,
+                             tiny, -tiny])
+    if family == "cancel":  # x and -x, and a tiny residue
+        half = rng.normal(size=m // 2) * 10.0 ** rng.integers(-20, 21, size=m // 2)
+        rest = rng.normal(size=m % 2) * 1e-30
+        return rng.permutation(np.concatenate([half, -half, rest]))
+    if family == "zeros":
+        return pick([0.0, -0.0])
+    if family == "subnormal":
+        return rng.integers(-3, 4, size=m) * 5e-324 + pick([0.0, 0.0, 2.0**-1022, -(2.0**-1022)])
+    if family == "huge":  # sums past the float range, or within an ulp of it
+        return pick([BIG, -BIG, 2.0**1023, -(2.0**1023), 2.0**970, -(2.0**970), 2.0**969, 1.0])
+    return pick([np.inf, -np.inf, np.nan, 1.0, -0.0])  # "special"
+
+
+FAMILIES = ["wide", "ties", "cancel", "zeros", "subnormal", "huge", "special"]
+
+
+@st.composite
+def sum_stacks(draw):
+    m = draw(st.sampled_from([0, 1, 2, 3, 8, 101, 130]))
+    families = draw(st.lists(st.sampled_from(FAMILIES), min_size=1, max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    stack = np.empty((m, len(families)))
+    for j, family in enumerate(families):
+        stack[:, j] = _sum_column(rng, family, m)
+    return stack
+
+
+def fsum_oracle(stack):
+    """Per-column math.fsum, or the error type of the first column it fails."""
+    out = []
+    for column in stack.T.tolist():
+        try:
+            out.append(math.fsum(column))
+        except OverflowError:
+            return InvalidData
+        except ValueError:
+            return ValueError
+    return np.array(out, dtype=float)
+
+
 class TestFsumColumns:
     @staticmethod
     def oracle(stack):
@@ -301,3 +358,16 @@ class TestFsumColumns:
         stack = np.array([[1e16, 1.0, 3.0], [1.0, -1e16, 0.1], [-1e16, 1e16, 0.2]])
         assert fsum_columns(stack).tolist() == [1.0, 1.0, math.fsum([3.0, 0.1, 0.2])]
         assert sum([3.0, 0.1, 0.2]) != math.fsum([3.0, 0.1, 0.2])
+
+    @settings(max_examples=400)
+    @given(sum_stacks(), st.sampled_from([1, 5, 64, core._FSUM_BLOCK_CELLS]))
+    def test_bits_and_errors_equal_math_fsum(self, stack, cells):
+        # small blocks split the columns math.fsum sums anywhere
+        expected = fsum_oracle(stack)
+        with mock.patch.object(core, "_FSUM_BLOCK_CELLS", cells):
+            if isinstance(expected, type):
+                with pytest.raises((InvalidData, ValueError)) as err:
+                    fsum_columns(stack)
+                assert type(err.value) is expected
+            else:
+                assert fsum_columns(stack).tobytes() == expected.tobytes()
