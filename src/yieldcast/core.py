@@ -30,7 +30,7 @@ _PESTICIDES, _YIELD = map(PANEL_VALUES.index, ("pesticides_tonnes", "yield_hg_ha
 _FSUM_BLOCK_CELLS = 1 << 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClimateRecord:
     """One country-year reading of rainfall (mm) or temperature (degrees C)."""
 
@@ -48,7 +48,7 @@ class ClimateRecord:
             raise ValueError(f"non-finite value: {self.value}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FaoRecord:
     """One area-item-year row: crop yield (hg/ha) or pesticide use (tonnes)."""
 

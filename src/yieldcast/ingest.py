@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Callable, Iterable, Iterator, Optional
@@ -98,7 +99,8 @@ def parse_cckp_csv(data, variable_kind: str) -> ParseResult:
     The fourth column's header name varies between exports, so it is selected
     by position. Rows with non-numeric years or values, and rows that
     ClimateRecord rejects (years out of range, malformed ISO3 codes,
-    non-finite values), are collected as RowErrors.
+    non-finite values), are collected as RowErrors. Records that name the
+    same country or ISO3 code share one string object.
     """
     if variable_kind not in ("precipitation", "temperature"):
         raise InvalidConfig(f"unknown variable kind: {variable_kind!r}")
@@ -106,7 +108,8 @@ def parse_cckp_csv(data, variable_kind: str) -> ParseResult:
         data,
         "Year,Country,ISO3,<value>",
         lambda row: ClimateRecord(
-            year=int(row[0]), country=row[1].strip(), iso3=row[2].strip(), value=float(row[3])
+            year=int(row[0]), country=sys.intern(row[1].strip()),
+            iso3=sys.intern(row[2].strip()), value=float(row[3]),
         ),
     )
 
@@ -116,14 +119,15 @@ def parse_fao_csv(data) -> ParseResult:
 
     Rows with non-numeric years or values, and rows that FaoRecord rejects
     (units outside {hg/ha, tonnes}, negative or non-finite values), are
-    collected as RowErrors.
+    collected as RowErrors. Records that name the same area, item or unit
+    share one string object.
     """
     return _parse_records(
         data,
         "Area,Item,Year,Unit,Value",
         lambda row: FaoRecord(
-            area=row[0].strip(), item=row[1].strip(), year=int(row[2]),
-            unit=row[3].strip(), value=float(row[4]),
+            area=sys.intern(row[0].strip()), item=sys.intern(row[1].strip()),
+            year=int(row[2]), unit=sys.intern(row[3].strip()), value=float(row[4]),
         ),
     )
 

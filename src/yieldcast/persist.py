@@ -15,11 +15,14 @@ reports are at version 1.
 """
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from dataclasses import dataclass, fields, is_dataclass
+from itertools import chain, groupby, repeat
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import IO, Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -144,6 +147,9 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
                     parts.flush()
             parts.append(f"\n{pad}]")
             return
+        if {list, tuple}.issuperset(map(type, items)) and all(items):
+            _emit_rows(items, depth, parts)
+            return
         parts.append("[\n")
         for i, item in enumerate(items):
             parts.append(inner)
@@ -154,6 +160,89 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
         _emit({f.name: getattr(obj, f.name) for f in fields(obj)}, depth, parts)
     else:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
+
+
+# Printf specs of row cells. %.17g prints an integral float below 1e17 with
+# no point and no exponent, so it takes _format_float's ".0"; %s takes the
+# canonical text of strings, bools, None, non-finite floats and mixed columns.
+_FLOAT, _INTEGRAL_FLOAT, _TEXT = "%.17g", "%.17g.0", "%s"
+
+
+class _Memo(dict):
+    """fn of each key looked up, computed once."""
+
+    def __init__(self, fn: Callable[[Any], str]):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key: Any) -> str:
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _column_specs(column: tuple, strings: _Memo) -> Optional[tuple[Any, Sequence]]:
+    """(spec, or one spec per cell; the arguments of those specs) that render
+    a column of row cells canonically, or None when a cell is no plain scalar."""
+    kinds = set(map(type, column))
+    if kinds == {float}:
+        values = np.array(column)
+        integral = (np.trunc(values) == values) & (np.abs(values) < 1e17)
+        bad = np.flatnonzero(~np.isfinite(values)).tolist()
+        if not (bad or integral.any()):
+            return _FLOAT, column
+        specs = list(map((_FLOAT, _INTEGRAL_FLOAT).__getitem__, integral.tolist()))
+        if bad:
+            column = list(column)
+            for i in bad:
+                specs[i], column[i] = _TEXT, _format_float(column[i])
+        return specs, column
+    if kinds == {str}:
+        return _TEXT, list(map(strings.__getitem__, column))
+    if kinds == {int}:
+        return "%d", column
+    if kinds <= _SCALAR_TEXT.keys():
+        return _TEXT, [_SCALAR_TEXT[type(v)](v) for v in column]
+    return None
+
+
+def _rows_text(rows: Sequence, row_sep: str, strings: _Memo, templates: _Memo) -> Optional[str]:
+    """The cells of rows of one length, row after row, rendered by one %
+    operation; None when a cell is no plain scalar. A row's template is
+    templates[its cells' specs], and rows are joined by row_sep."""
+    columns = [_column_specs(column, strings) for column in zip(*rows)]
+    if None in columns:
+        return None
+    specs = (repeat(s, len(rows)) if type(s) is str else s for s, _ in columns)
+    template = row_sep.join(map(templates.__getitem__, zip(*specs)))
+    return template % tuple(chain.from_iterable(zip(*(args for _, args in columns))))
+
+
+def _emit_rows(rows: Sequence, depth: int, parts: _Parts) -> None:
+    """Write a list of non-empty lists and tuples as _emit writes any list,
+    a chunk of rows of one length and about _CHUNK_PARTS cells at a time
+    (_rows_text). A chunk that _rows_text cannot render, and a row over
+    _CHUNK_PARTS cells, are written item by item."""
+    pad, inner, cell_pad = ("  " * (depth + i) for i in range(3))
+    row_sep = f"\n{inner}],\n{inner}[\n{cell_pad}"
+    strings = _Memo(_SCALAR_TEXT[str])
+    templates = _Memo(f",\n{cell_pad}".join)  # a row's template, by its cells' specs
+    start = 0
+    for width, run in groupby(map(len, rows)):
+        stop = start + sum(1 for _ in run)
+        step = max(1, _CHUNK_PARTS // width)
+        for first in range(start, stop, step):
+            chunk = rows[first:min(first + step, stop)]
+            lead = f",\n{inner}" if first else f"[\n{inner}"
+            text = None if width > _CHUNK_PARTS else _rows_text(chunk, row_sep, strings, templates)
+            if text is None:
+                for i, row in enumerate(chunk):
+                    parts.append(lead if i == 0 else f",\n{inner}")
+                    _emit(row, depth + 1, parts)
+                continue
+            parts += (f"{lead}[\n{cell_pad}", text, f"\n{inner}]")
+            parts.flush()
+        start = stop
+    parts.append(f"\n{pad}]")
 
 
 def _write_canonical(obj: Any, write: Callable[[str], Any]) -> None:
@@ -169,21 +258,38 @@ def canonical_json(obj: Any) -> str:
     return "".join(chunks)
 
 
-def _write_text(path: str | Path, text: str) -> None:
+def _write_file(path: str | Path, fill: Callable[[IO[str]], Any]) -> None:
+    """Write a UTF-8 file through fill. The text goes to a temporary file
+    beside the target, which replaces the target only once it is complete,
+    so a failed write leaves the old file as it was and no temporary file.
+    A target that exists but is no regular file (a device or a pipe) is
+    written in place."""
+    target = os.path.realpath(path)  # through a link, the file it names is replaced
+    in_place = os.path.exists(target) and not os.path.isfile(target)
+    head, name = os.path.split(target)
+    tmp = target if in_place else os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(tmp, "w" if in_place else "x", encoding="utf-8") as fh:
+            fill(fh)
+        if not in_place:
+            os.replace(tmp, target)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)  # still there only when the write failed
 
 
 def write_json(obj: Any, path: str | Path) -> None:
-    """Write obj in canonical form plus a newline, a chunk of parts at a time."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            _write_canonical(obj, fh.write)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    """Write obj in canonical form plus a newline, a chunk of parts at a time;
+    a document that fails to serialize leaves the old file unchanged."""
+
+    def fill(fh: IO[str]) -> None:
+        _write_canonical(obj, fh.write)
+        fh.write("\n")
+
+    _write_file(path, fill)
 
 
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path) -> None:
@@ -194,7 +300,8 @@ def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path)
 
     lines = [",".join(header)]
     lines += [",".join(cell(v) for v in row) for row in rows]
-    _write_text(path, "\n".join(lines) + "\n")
+    text = "\n".join(lines) + "\n"
+    _write_file(path, lambda fh: fh.write(text))
 
 
 def read_json(path: str | Path) -> Any:

@@ -1,7 +1,9 @@
 """CSV parsing, country-name normalization, and the four-way panel merge."""
 from __future__ import annotations
 
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -137,6 +139,51 @@ class TestParseFao:
         assert [r.value for r in result.records] == [7.0]
         assert [e.line for e in result.row_errors] == [2, 3]
         assert all("non-finite" in e.message for e in result.row_errors)
+
+
+class TestRecords:
+    """Parsed records are slotted, frozen value objects that share their strings."""
+
+    @pytest.fixture(scope="class")
+    def parsed(self):
+        fao = parse_fao_csv(
+            "Area,Item,Year,Unit,Value\n"
+            "Kenya,Maize,2000,hg/ha,15000\n"
+            " Kenya , Maize ,2001, hg/ha ,16000\n"
+            "Mexico,Maize,2000,tonnes,7\n"
+        ).records
+        climate = parse_cckp_csv(
+            "Year,Country,ISO3,v\n2000,Kenya,KEN,630.5\n2001, Kenya , KEN ,702.25\n",
+            "precipitation",
+        ).records
+        return fao, climate
+
+    def test_records_have_no_instance_dict(self, parsed):
+        for record in (*parsed[0], *parsed[1]):
+            assert not hasattr(record, "__dict__")
+
+    def test_equal_strings_are_one_object(self, parsed):
+        (a, b, c), (x, y) = parsed
+        assert a.area is b.area and a.item is b.item is c.item and a.unit is b.unit
+        assert x.country is y.country and x.iso3 is y.iso3
+
+    def test_fields_stay_frozen(self, parsed):
+        for record, name in ((parsed[0][0], "value"), (parsed[1][0], "iso3")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, 1.0)
+
+    def test_value_semantics(self, parsed):
+        fao, climate = parsed
+        assert fao[0] == FaoRecord("Kenya", "Maize", 2000, "hg/ha", 15000.0)
+        assert hash(fao[0]) == hash(FaoRecord("Kenya", "Maize", 2000, "hg/ha", 15000.0))
+        assert fao[0] != fao[1] and len({*fao, *fao}) == 3
+        assert dataclasses.replace(fao[0], year=2001, value=16000.0) == fao[1]
+        assert dataclasses.replace(climate[0], year=2001, value=702.25) == climate[1]
+        with pytest.raises(ValueError, match="unknown unit"):
+            dataclasses.replace(fao[0], unit="kg")
+        for record in (*fao, *climate):
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record and hash(copy) == hash(record)
 
 
 HEADERS = {

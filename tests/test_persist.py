@@ -5,10 +5,14 @@ import copy
 import functools
 import json
 import math
+import os
+import stat
 import tempfile
+import threading
 import tracemalloc
 from dataclasses import dataclass
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +21,7 @@ from hypothesis import strategies as st
 
 import synth
 from tree_oracles import gbm_nodes, nodes
+from yieldcast import persist
 from yieldcast.cli import main
 from yieldcast.errors import (
     FormatError,
@@ -153,6 +158,97 @@ class TestCanonicalForm:
         assert parsed == v and math.copysign(1, parsed) == math.copysign(1, v)
 
 
+def reference_json(obj, depth=0) -> str:
+    """The canonical form rendered one value at a time: the reference for
+    persist's renderers of whole chunks."""
+    if isinstance(obj, np.generic):
+        obj = obj.item()
+    if obj is None or type(obj) is bool:
+        return {None: "null", True: "true", False: "false"}[obj]
+    if type(obj) is int:
+        return str(obj)
+    if type(obj) is float:
+        if math.isnan(obj):
+            return '"NaN"'
+        if math.isinf(obj):
+            return '"Infinity"' if obj > 0 else '"-Infinity"'
+        text = format(obj, ".17g")
+        return text if any(c in text for c in ".eE") else text + ".0"
+    if type(obj) is str:
+        return json.dumps(obj, ensure_ascii=True)
+    pad, inner = "  " * depth, "  " * (depth + 1)
+    if isinstance(obj, dict):
+        items = [f"{inner}{json.dumps(k)}: {reference_json(obj[k], depth + 1)}"
+                 for k in sorted(obj)]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    items = [inner + reference_json(v, depth + 1) for v in obj]
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
+
+
+def _integral_floats(low: int, high: int):
+    return st.integers(low, high).map(float) | st.integers(-high, -low).map(float)
+
+
+STRINGS = st.one_of(
+    st.text(alphabet=st.sampled_from('%"\\ab\n\x00é日\ud800'), max_size=6),
+    st.text(max_size=4),
+)
+ROW_CELLS = st.one_of(
+    st.floats(),  # subnormals, -0.0, inf and nan included
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e16, 1e17, -1e17,
+                     1e17 - 16, 2.0 ** 53, 9007199254740993.0, 0.1, 1e300,
+                     float("inf"), float("-inf"), float("nan")]),
+    _integral_floats(10**16 - 1000, 10**16 + 1000),
+    _integral_floats(10**17 - 1000, 10**17 + 1000),
+    st.integers(-(10**20), 10**20),
+    st.booleans(),
+    st.none(),
+    STRINGS,
+    st.sampled_from([np.float64(1.0), np.float64(0.5), np.int64(3), np.bool_(False),
+                     np.str_("x")]),  # not plain scalars: the row takes the item path
+)
+
+
+@st.composite
+def scalar_rows(draw):
+    """A list of lists and tuples of scalars: runs of one width and one
+    column type (as panel rows are), and rows of mixed widths and types."""
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        width = draw(st.integers(1, 5))
+        column = [draw(st.sampled_from([ROW_CELLS, st.floats(), STRINGS, st.integers(),
+                                        _integral_floats(0, 10**18)]))
+                  for _ in range(width)]
+        for _ in range(draw(st.integers(0, 12))):
+            row = [draw(column[j]) for j in range(width)]
+            rows.append(tuple(row) if draw(st.booleans()) else row)
+        rows += draw(st.lists(st.lists(ROW_CELLS, min_size=1, max_size=5), max_size=3))
+    return rows
+
+
+ROW_DOCUMENTS = st.recursive(
+    scalar_rows() | ROW_CELLS,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(alphabet="ab%é", max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300)
+@given(doc=ROW_DOCUMENTS, chunk_parts=st.sampled_from([1, 3, 8, 4096]))
+@example(doc={"rows": [["AFG", "Afghan", 2003, "Maize", 1.5, -0.0, 1e16, 99999999999999984.0],
+                       ("AFG", "Afghan", 2004, "Maize", 2.0, 3e-310, 1e17, float("nan"))]},
+         chunk_parts=4096)
+def test_rows_render_as_one_value_at_a_time(doc, chunk_parts):
+    expected = reference_json(doc)
+    with mock.patch.object(persist, "_CHUNK_PARTS", chunk_parts):
+        assert canonical_json(doc) == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "doc.json"
+            write_json(doc, path)
+            assert path.read_bytes() == (expected + "\n").encode("ascii")
+
+
 class TestReadWrite:
     def test_file_ends_with_single_newline(self, tmp_path):
         path = tmp_path / "doc.json"
@@ -196,6 +292,49 @@ class TestReadWrite:
     def test_directory_target_is_io_error(self, tmp_path):
         with pytest.raises(IoError):
             write_json({"a": 1}, tmp_path)
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        write_json({"a": 1}, path)
+        old = path.read_bytes()
+        # enough rows that chunks reach the file before the bad value
+        doc = {"a": [[i, i / 3] for i in range(20_000)], "b": object()}
+        with pytest.raises(FormatError, match="cannot serialize object"):
+            write_json(doc, path)
+        with pytest.raises(UnicodeEncodeError):
+            write_csv(["name"], [["ok"], ["\ud800"]], path)
+        assert path.read_bytes() == old
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_leaves_nothing_behind(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        for write in (lambda p: write_json({"a": 1}, p), lambda p: write_csv(["a"], [[1]], p)):
+            for path in (target, tmp_path / "missing" / "doc.json"):
+                with pytest.raises(IoError, match="cannot write"):
+                    write(path)
+        assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+    def test_write_through_a_link_replaces_the_linked_file(self, tmp_path):
+        real = tmp_path / "real.json"
+        real.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(real)
+        write_json({"a": 1}, link)
+        assert link.is_symlink() and real.read_text() == canonical_json({"a": 1}) + "\n"
+
+    def test_pipe_target_is_written_in_place(self, tmp_path):
+        fifo = tmp_path / "pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(
+            target=lambda: received.append(fifo.read_bytes()), daemon=True
+        )
+        reader.start()
+        write_csv(["a"], [[1]], fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive() and received == [b"a\n1\n"]
+        assert stat.S_ISFIFO(fifo.lstat().st_mode) and list(tmp_path.iterdir()) == [fifo]
 
     def test_invalid_json_is_format_error(self, tmp_path):
         path = tmp_path / "broken.json"
