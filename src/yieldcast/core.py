@@ -221,6 +221,11 @@ class Scaler:
     passthrough: tuple[bool, ...]
 
     def __post_init__(self):
+        p = len(self.passthrough)
+        if np.shape(self.means) != (p,) or np.shape(self.stds) != (p,):
+            raise ValueError("scaler means, stds and passthrough must be 1-d and of one length")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.stds).all()):
+            raise ValueError("scaler means and stds must be finite")
         if not (self.stds > 0).all():
             raise ValueError("scaler stds must be positive")
 
@@ -230,7 +235,7 @@ def fit_scaler(x: np.ndarray, passthrough: Optional[Sequence[bool]] = None) -> S
 
     Columns flagged in `passthrough` (one-hot indicators) get identity
     parameters and are never checked for zero variance. Any other column with
-    zero variance is rejected.
+    zero variance is rejected, and so is one whose std passes the float range.
     """
     x = np.asarray(x, dtype=float)
     n, p = x.shape
@@ -240,14 +245,17 @@ def fit_scaler(x: np.ndarray, passthrough: Optional[Sequence[bool]] = None) -> S
     if len(mask) != p:
         raise ShapeError(f"passthrough length {len(mask)} != {p} columns")
 
-    means = x.mean(axis=0)
-    stds = x.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # stds are checked below
+        means = x.mean(axis=0)
+        stds = x.std(axis=0, ddof=1)
     for j in range(p):
         if mask[j]:
             means[j] = 0.0
             stds[j] = 1.0
         elif stds[j] == 0.0:
             raise ConstantFeature(f"column {j} has zero variance")
+        elif not np.isfinite(stds[j]):
+            raise InvalidData(f"column {j} is too large to standardize")
     return Scaler(means=means, stds=stds, passthrough=mask)
 
 

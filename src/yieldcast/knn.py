@@ -53,6 +53,12 @@ class KnnModel:
             raise ShapeError("x_train must be 2-d and y_train 1-d")
         if len(self.x_train) != len(self.y_train):
             raise ShapeError("x_train and y_train row counts differ")
+        if not (np.isfinite(self.x_train).all() and np.isfinite(self.y_train).all()):
+            raise ValueError("x_train and y_train must be finite")
+        if not (isinstance(self.k, int) and 1 <= self.k <= len(self.y_train)):
+            raise ValueError(f"k must be an integer in [1, {len(self.y_train)}], got {self.k!r}")
+        if len(self.scaler.means) != self.x_train.shape[1]:
+            raise ValueError("the scaler and x_train differ in width")
 
 
 def fit_knn(

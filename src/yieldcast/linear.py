@@ -40,6 +40,10 @@ class LinearModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if np.ndim(self.coefficients) != 1:
+            raise ValueError("coefficients must be 1-d")
+        if self.scaler is not None and len(self.scaler.means) != len(self.coefficients):
+            raise ValueError("the scaler and coefficients differ in width")
         if not (np.isfinite(self.coefficients).all() and np.isfinite(self.intercept)):
             raise ValueError("non-finite model parameters")
         if self.feature_names and len(self.feature_names) != len(self.coefficients):

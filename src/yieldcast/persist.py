@@ -8,10 +8,11 @@ Saving what load_model returns reproduces the file byte for byte, and a
 reloaded model predicts bit-identically to the original. Non-finite floats
 serialize as the strings "NaN"/"Infinity"/"-Infinity"; model payloads never
 contain them. A dataclass instance serializes as an object of its fields, so
-write-only documents (merge and run reports) and tree payloads need no
-hand-written layout. Model documents are at format_version 2 (trees as node
-arrays) and load_model also reads version 1 (nested tree nodes); panels and
-reports are at version 1.
+write-only documents (merge and run reports) and every model payload but
+cart's and the ensemble's need no hand-written layout; typed readers, which
+coerce no JSON type, read the payloads back (_payload_readers). Model
+documents are at format_version 2 (trees as node arrays) and load_model also
+reads version 1 (nested tree nodes); panels and reports are at version 1.
 """
 from __future__ import annotations
 
@@ -19,7 +20,9 @@ import contextlib
 import json
 import math
 import os
+import reprlib
 from dataclasses import dataclass, fields, is_dataclass
+from functools import partial
 from itertools import chain, groupby, repeat
 from pathlib import Path
 from typing import IO, Any, Callable, Iterable, NamedTuple, Optional, Sequence
@@ -331,14 +334,75 @@ def _check_version(doc: Any, path: str | Path, versions=(FORMAT_VERSION,)) -> di
 # ------------------------------------------------------------------- models
 
 
-def _scaler_from_dict(d: Optional[dict]) -> Optional[Scaler]:
-    if d is None:
-        return None
-    return Scaler(
-        means=np.asarray(d["means"], dtype=float),
-        stds=np.asarray(d["stds"], dtype=float),
-        passthrough=tuple(bool(b) for b in d["passthrough"]),
-    )
+def _typed(what: str, *types: type, convert: Callable = lambda v: v) -> Callable:
+    """A reader of a JSON value whose type is exactly one of types."""
+
+    def read(v: Any) -> Any:
+        if type(v) not in types:
+            raise ValueError(f"expected {what}, got {reprlib.repr(v)}")
+        return convert(v)
+
+    return read
+
+
+_number = _typed("a number", int, float, convert=float)
+_integer = _typed("an integer", int)
+_flag = _typed("true or false", bool)
+_name = _typed("a string", str)
+
+
+def _tuple(read: Callable) -> Callable[[Any], tuple]:
+    """A reader of a JSON list whose items read reads, as a tuple."""
+    return _typed("a list", list, convert=lambda v: tuple(map(read, v)))
+
+
+def _floats(v: Any) -> np.ndarray:
+    """A list of numbers, or of equal-length lists of them, as a float array."""
+    rows = type(v) is list and v and all(type(row) is list for row in v)
+    return np.array(_tuple(_tuple(_number) if rows else _number)(v), dtype=float)
+
+
+def _optional(read: Callable) -> Callable:
+    """read, or null as None."""
+    return lambda v: None if v is None else read(v)
+
+
+def _record(build: Callable, **readers: Callable) -> Callable:
+    """A reader of a JSON object of exactly the keys of readers, built by build."""
+
+    def read(v: Any) -> Any:
+        if type(v) is not dict or v.keys() != readers.keys():
+            got = sorted(v) if type(v) is dict else reprlib.repr(v)
+            raise ValueError(f"expected an object with the keys {sorted(readers)}, got {got}")
+        return build(**{key: read_value(v[key]) for key, read_value in readers.items()})
+
+    return read
+
+
+def _payload_readers(read_tree: Callable, metadata: dict) -> dict:
+    """The payload reader of each model kind, for a document whose trees
+    read_tree reads and whose linear or k-NN model carries `metadata`. The
+    ensemble's returns (name, model document) pairs, for _from_doc to read."""
+    scaler = _record(Scaler, means=_floats, stds=_floats, passthrough=_tuple(_flag))
+    linear = _record(partial(LinearModel, metadata=metadata), coefficients=_floats,
+                     intercept=_number, scaler=_optional(scaler), feature_names=_tuple(_name))
+    tree_config = _record(TreeConfig, max_depth=_integer, min_samples_leaf=_integer,
+                          min_samples_split=_optional(_integer))
+    forest_config = _record(ForestConfig, n_trees=_integer,
+                            features_per_split=_optional(_integer), bootstrap=_flag,
+                            tree=tree_config, seed=_integer)
+    member = _record(lambda name, model: (name, model), name=_name, model=lambda doc: doc)
+    return {
+        "ols": linear,
+        "sgd": linear,
+        "cart": _record(lambda tree: tree, tree=read_tree),
+        "forest": _record(Forest, trees=_tuple(read_tree), config=forest_config),
+        "gbm": _record(GbmModel, init_value=_number, stages=_tuple(read_tree),
+                       learning_rate=_number),
+        "knn": _record(partial(KnnModel, metadata=metadata), x_train=_floats,
+                       y_train=_floats, k=_integer, scaler=scaler, feature_names=_tuple(_name)),
+        "ensemble": _record(lambda members: members, members=_tuple(member)),
+    }
 
 
 def _v1_tree(node: Any) -> Tree:
@@ -358,7 +422,7 @@ def _v1_tree(node: Any) -> Tree:
             records.append(record)
             stack += [(node["right"], record), (node["left"], None)]
         else:
-            raise FormatError(f"unknown tree node kind {kind!r}")
+            raise ValueError(f"unknown tree node kind {kind!r}")
     return Tree.from_records(records)
 
 
@@ -373,36 +437,15 @@ def _ensemble_n_features(e: EnsembleModel) -> Optional[int]:
 
 
 class ModelKind(NamedTuple):
-    """How one kind of fitted model is recognised, stored, read back from
-    (payload, fit_metadata, path, the document version's tree reader),
-    applied, and sized: n_features is the input column count the model
-    records, or None (trees record none)."""
+    """How one kind of fitted model is recognised, applied, and sized: the
+    input column count the model records, or None (trees record none)."""
 
-    model_type: type | tuple[type, ...]
-    to_payload: Callable[[Any], Any]
-    from_payload: Callable[[dict, dict, str | Path, Callable[[Any], Tree]], Any]
+    model_type: type
     predict: Callable[[Any, np.ndarray], np.ndarray]
     n_features: Callable[[Any], Optional[int]]
 
 
-_LINEAR = ModelKind(
-    LinearModel,
-    lambda m: {
-        "coefficients": m.coefficients,
-        "intercept": m.intercept,
-        "scaler": m.scaler,
-        "feature_names": list(m.feature_names),
-    },
-    lambda p, metadata, path, read_tree: LinearModel(
-        coefficients=np.asarray(p["coefficients"], dtype=float),
-        intercept=float(p["intercept"]),
-        scaler=_scaler_from_dict(p["scaler"]),
-        feature_names=tuple(p["feature_names"]),
-        metadata=dict(metadata),
-    ),
-    lambda m, x: predict_linear(m, x),
-    lambda m: len(m.coefficients),
-)
+_LINEAR = ModelKind(LinearModel, lambda m, x: predict_linear(m, x), lambda m: len(m.coefficients))
 
 # The one definition of the model kinds, in file-format order. Predict
 # entries look their predictor up by name when called, so wrappers installed
@@ -410,65 +453,12 @@ _LINEAR = ModelKind(
 KINDS: dict[str, ModelKind] = {
     "ols": _LINEAR,
     "sgd": _LINEAR,
-    "cart": ModelKind(
-        Tree,
-        lambda t: {"tree": t},
-        lambda p, metadata, path, read_tree: read_tree(p["tree"]),
-        lambda t, x: predict_tree_batch(t, x),
-        lambda t: None,
-    ),
-    "forest": ModelKind(
-        Forest,
-        lambda f: f,
-        lambda p, metadata, path, read_tree: Forest(
-            trees=tuple(map(read_tree, p["trees"])),
-            config=ForestConfig(**{**p["config"], "tree": TreeConfig(**p["config"]["tree"])}),
-        ),
-        lambda f, x: predict_forest_batch(f, x),
-        lambda f: None,
-    ),
-    "gbm": ModelKind(
-        GbmModel,
-        lambda m: m,
-        lambda p, metadata, path, read_tree: GbmModel(
-            init_value=float(p["init_value"]),
-            stages=tuple(map(read_tree, p["stages"])),
-            learning_rate=float(p["learning_rate"]),
-        ),
-        lambda m, x: predict_gbm_batch(m, x),
-        lambda m: None,
-    ),
-    "knn": ModelKind(
-        KnnModel,
-        lambda m: {
-            "x_train": m.x_train,
-            "y_train": m.y_train,
-            "k": m.k,
-            "scaler": m.scaler,
-            "feature_names": list(m.feature_names),
-        },
-        lambda p, metadata, path, read_tree: KnnModel(
-            x_train=np.asarray(p["x_train"], dtype=float),
-            y_train=np.asarray(p["y_train"], dtype=float),
-            k=int(p["k"]),
-            scaler=_scaler_from_dict(p["scaler"]),
-            feature_names=tuple(p["feature_names"]),
-            metadata=dict(metadata),
-        ),
-        lambda m, x: predict_knn_batch(m, x),
-        lambda m: m.x_train.shape[1],
-    ),
-    "ensemble": ModelKind(
-        EnsembleModel,
-        lambda e: {"members": [{"name": n, "model": _to_doc(m)} for n, m in e.members]},
-        lambda p, metadata, path, read_tree: EnsembleModel(
-            members=tuple(
-                (m["name"], _from_doc(m["model"], path)) for m in p["members"]
-            )
-        ),
-        _predict_ensemble,
-        _ensemble_n_features,
-    ),
+    "cart": ModelKind(Tree, lambda t, x: predict_tree_batch(t, x), lambda t: None),
+    "forest": ModelKind(Forest, lambda f, x: predict_forest_batch(f, x), lambda f: None),
+    "gbm": ModelKind(GbmModel, lambda m, x: predict_gbm_batch(m, x), lambda m: None),
+    "knn": ModelKind(KnnModel, lambda m, x: predict_knn_batch(m, x),
+                     lambda m: m.x_train.shape[1]),
+    "ensemble": ModelKind(EnsembleModel, _predict_ensemble, _ensemble_n_features),
 }
 
 MODEL_KINDS = tuple(KINDS)
@@ -485,10 +475,16 @@ def model_kind_of(model: Any) -> str:
 
 def _to_doc(model: Any) -> dict:
     kind = model_kind_of(model)
+    if kind == "cart":
+        payload: Any = {"tree": model}
+    elif kind == "ensemble":
+        payload = {"members": [{"name": n, "model": _to_doc(m)} for n, m in model.members]}
+    else:  # the model's fields, which _payload_readers declares
+        payload = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "metadata"}
     return {
         "format_version": MODEL_FORMAT_VERSION,
         "model_kind": kind,
-        "payload": KINDS[kind].to_payload(model),
+        "payload": payload,
         "fit_metadata": dict(getattr(model, "metadata", {})),
     }
 
@@ -502,15 +498,18 @@ def _from_doc(doc: Any, path: str | Path) -> Any:
     kind = doc.get("model_kind")
     if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind compares unequal
         raise FormatError(f"{path}: unknown model_kind {kind!r}")
+    metadata = doc.get("fit_metadata", {})
+    if type(metadata) is not dict:
+        raise FormatError(f"{path}: fit_metadata must be an object")
     read_tree = _v1_tree if version == 1 else lambda payload: Tree(**payload)
     try:
-        return KINDS[kind].from_payload(
-            doc["payload"], doc.get("fit_metadata", {}), path, read_tree
-        )
-    except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig) as exc:
-        # InvalidConfig: a model constructor rejected the stored values,
-        # such as an ensemble with fewer than two members
+        model = _payload_readers(read_tree, dict(metadata))[kind](doc["payload"])
+        if kind == "ensemble":  # members read here: two stack frames a nesting level
+            model = EnsembleModel(tuple((name, _from_doc(m, path)) for name, m in model))
+    except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig, ShapeError) as exc:
+        # InvalidConfig, ShapeError: a constructor rejected the stored values
         raise FormatError(f"{path}: corrupted {kind} payload: {exc}") from exc
+    return model
 
 
 def save_model(model: Any, path: str | Path) -> None:

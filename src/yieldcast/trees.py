@@ -157,6 +157,10 @@ class Forest:
     trees: tuple[Tree, ...]
     config: ForestConfig
 
+    def __post_init__(self):
+        if not self.trees:
+            raise ValueError("a forest needs at least one tree")
+
 
 @dataclass(frozen=True)
 class GbmModel:
@@ -167,6 +171,8 @@ class GbmModel:
     def __post_init__(self):
         if not (np.isfinite(self.init_value) and 0.0 < self.learning_rate <= 1.0):
             raise ValueError("GBM init_value must be finite and learning_rate in (0, 1]")
+        if not self.stages:
+            raise ValueError("a GBM needs at least one stage")
 
 
 def best_split(

@@ -308,6 +308,23 @@ class TestCv:
         assert "ols: OLS solution is not finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_column_too_large_to_standardize_fails_the_fold(self, panel_dir, tmp_path, capsys):
+        # with the huge rain cell among fold 0's training rows, the rain
+        # column's std passes the float range: no warning, and a failed fold
+        # instead of a rain column standardized to zero
+        doc = persist.read_json(panel_dir / "panel.json")
+        doc["rows"][3][4] = 1e308
+        panel = tmp_path / "panel.json"
+        panel.write_text(json.dumps(doc))
+        rc = main(["cv", "--panel", str(panel), "--out", str(tmp_path / "out"),
+                   "--models", "sgd,knn", "--k", "2"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "fold 0: sgd: column 0 is too large to standardize" in err
+        assert "fold 0: knn: column 0 is too large to standardize" in err
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
+
     def test_reruns_are_byte_identical(self, panel_dir, tmp_path, capsys):
         outs = []
         for sub in ("one", "two"):
@@ -669,6 +686,81 @@ def test_oversized_field_names_file_and_line(snap, ols_model_path, tmp_path, cap
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"error: {big}: line 2: field larger than field limit (131072)\n"
+
+
+@pytest.fixture(scope="module")
+def numeric_models(panel_dir, tmp_path_factory):
+    """sgd, knn, gbm, forest and ensemble model files on the three numeric columns."""
+    out = tmp_path_factory.mktemp("cv-numeric-models")
+    rc = main(["cv", "--panel", str(panel_dir / "panel.json"), "--out", str(out),
+               "--models", "sgd,knn,gbm,forest", "--k", "2", "--no-encode-item"])
+    assert rc == 0
+    return out / "models"
+
+
+def set_payload(*path, value):
+    """An edit of a model document: the payload value at path (keys and list
+    indices) becomes value."""
+    def edit(doc):
+        *head, last = path
+        node = doc["payload"]
+        for key in head:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+# (model kind, edit) of hand-edited model files that must not predict
+MALFORMED_MODELS = {
+    "knn fractional k": ("knn", set_payload("k", value=5.7)),
+    "knn boolean k": ("knn", set_payload("k", value=True)),
+    "knn negative k": ("knn", set_payload("k", value=-1)),
+    "knn zero k": ("knn", set_payload("k", value=0)),
+    "knn k above the training rows": ("knn", set_payload("k", value=1_000_000)),
+    "knn string target": ("knn", set_payload("y_train", 0, value="12.5")),
+    "knn boolean target": ("knn", set_payload("y_train", 0, value=True)),
+    "knn NaN target": ("knn", set_payload("y_train", 0, value=float("nan"))),
+    "knn infinite x_train": ("knn", set_payload("x_train", 0, 0, value=float("inf"))),
+    "knn infinite scaler std": ("knn", set_payload("scaler", "stds", 0, value="Infinity")),
+    "knn null scaler": ("knn", set_payload("scaler", value=None)),
+    "knn 1-d x_train": ("knn", lambda doc: doc["payload"].update(
+        x_train=doc["payload"]["x_train"][0])),
+    "knn extra payload key": ("knn", set_payload("weights", value=None)),
+    "knn list fit_metadata": ("knn", lambda doc: doc.update(fit_metadata=[])),
+    "sgd infinite scaler std": ("sgd", set_payload("scaler", "stds", 0, value="Infinity")),
+    "sgd short scaler passthrough": ("sgd", set_payload("scaler", "passthrough",
+                                                        value=[False])),
+    "sgd short scaler means": ("sgd", set_payload("scaler", "means", value=[0.0])),
+    "sgd string intercept": ("sgd", set_payload("intercept", value="12.5")),
+    "sgd boolean intercept": ("sgd", set_payload("intercept", value=True)),
+    "sgd boolean coefficient": ("sgd", set_payload("coefficients", 0, value=True)),
+    "sgd string coefficient": ("sgd", set_payload("coefficients", 0, value="1.0")),
+    "gbm string init_value": ("gbm", set_payload("init_value", value="5e4")),
+    "gbm string learning_rate": ("gbm", set_payload("learning_rate", value="0.1")),
+    "gbm boolean learning_rate": ("gbm", set_payload("learning_rate", value=True)),
+    "gbm no stages": ("gbm", set_payload("stages", value=[])),
+    "forest string seed": ("forest", set_payload("config", "seed", value="x")),
+    "forest integer bootstrap": ("forest", set_payload("config", "bootstrap", value=2)),
+    "forest no trees": ("forest", set_payload("trees", value=[])),
+    "forest extra payload key": ("forest", set_payload("weights", value=None)),
+    "ensemble numeric member name": ("ensemble", set_payload("members", 0, "name", value=5)),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_MODELS))
+def test_malformed_model_exits_1(numeric_models, case, tmp_path, capsys):
+    kind, edit = MALFORMED_MODELS[case]
+    doc = persist.read_json(numeric_models / f"{kind}.json")
+    edit(doc)
+    model_path = tmp_path / f"{kind}.json"
+    model_path.write_text(json.dumps(doc))
+    inp = tmp_path / "rows.csv"
+    write_feature_csv(inp, TestPredict.HEADER, TestPredict.ROWS)
+    out = tmp_path / "predictions.csv"
+    rc = main(["predict", "--model", str(model_path), "--input", str(inp), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith(f"error: {model_path}: "), err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_model_kind_names_agree():

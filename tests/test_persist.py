@@ -523,6 +523,20 @@ class TestModelRoundTrip:
             load_model(path)
         assert str(path) in str(excinfo.value)
 
+    def test_deeply_nested_ensemble_loads(self, fitted_models, tmp_path):
+        # ensembles nest, so reading a level must cost few stack frames: 150
+        # levels (600 levels of JSON) load and predict
+        models, x = fitted_models
+        path = tmp_path / "cart.json"
+        save_model(models["cart"], path)
+        leaf = doc = read_json(path)
+        for _ in range(150):
+            doc = dict(leaf, model_kind="ensemble", payload={
+                "members": [{"name": "inner", "model": doc}, {"name": "cart", "model": leaf}]})
+        path.write_text(json.dumps(doc))
+        np.testing.assert_array_equal(predict_model(load_model(path), x),
+                                      predict_model(models["cart"], x))
+
     def test_ensemble_prediction_is_exact_member_mean(self, fitted_models):
         models, x = fitted_models
         ens = models["ensemble"]
