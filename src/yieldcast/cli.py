@@ -45,24 +45,19 @@ from .trees import ForestConfig, GbmConfig, TreeConfig, fit_cart, fit_forest, fi
 
 KNN_K = 5
 
-# name -> fit(x, y, mask, names, seed), in report order. Each entry looks its
+# name -> fit(x, y, mask, seed), in report order. Each entry looks its
 # fit_* function up by name when called, so wrappers installed on this
 # module's globals (perfbench's tracer) see every fit. Scaled models receive
 # the one-hot mask so indicator columns pass through standardization untouched.
 MODEL_FITS = {
-    "ols": lambda x, y, mask, names, seed: fit_ols(x, y, feature_names=names),
-    "sgd": lambda x, y, mask, names, seed: fit_sgd(
-        x, y, SgdConfig(epochs=200, seed=seed),
-        passthrough=mask, feature_names=names,
+    "ols": lambda x, y, mask, seed: fit_ols(x, y),
+    "sgd": lambda x, y, mask, seed: fit_sgd(
+        x, y, SgdConfig(epochs=200, seed=seed), passthrough=mask
     ),
-    "cart": lambda x, y, mask, names, seed: fit_cart(x, y, TreeConfig()),
-    "gbm": lambda x, y, mask, names, seed: fit_gbm(x, y, GbmConfig()),
-    "knn": lambda x, y, mask, names, seed: fit_knn(
-        x, y, k=KNN_K, passthrough=mask, feature_names=names
-    ),
-    "forest": lambda x, y, mask, names, seed: fit_forest(
-        x, y, ForestConfig(seed=seed)
-    ),
+    "cart": lambda x, y, mask, seed: fit_cart(x, y, TreeConfig()),
+    "gbm": lambda x, y, mask, seed: fit_gbm(x, y, GbmConfig()),
+    "knn": lambda x, y, mask, seed: fit_knn(x, y, k=KNN_K, passthrough=mask),
+    "forest": lambda x, y, mask, seed: fit_forest(x, y, ForestConfig(seed=seed)),
 }
 
 MODEL_ORDER = tuple(MODEL_FITS)
@@ -262,13 +257,10 @@ def _run_config(args) -> RunConfig:
 
 
 def model_specs(
-    names: Sequence[str],
-    onehot: Sequence[bool],
-    feature_names: Sequence[str],
-    seed: int,
+    names: Sequence[str], onehot: Sequence[bool], seed: int
 ) -> list[evaluate.ModelSpec]:
     """ModelSpec per selected name, in the given order; all share predict_model."""
-    context = {"mask": tuple(onehot), "names": tuple(feature_names), "seed": seed}
+    context = {"mask": tuple(onehot), "seed": seed}
     return [
         evaluate.ModelSpec(
             name, fit=partial(MODEL_FITS[name], **context), predict=persist.predict_model
@@ -327,7 +319,7 @@ def cmd_cv(args) -> int:
     )
     m = build_feature_matrix(table, feature_cfg)
     plan = evaluate.make_folds(m.n, cfg.k, cfg.seed)
-    specs = model_specs(cfg.models, m.onehot, m.feature_names, cfg.seed)
+    specs = model_specs(cfg.models, m.onehot, cfg.seed)
 
     per_model, ensemble_result = evaluate.ensemble_cv(specs, m, plan)
 
@@ -386,7 +378,7 @@ def cmd_cv(args) -> int:
     except OSError as exc:
         raise IoError(f"cannot create {models_dir}: {exc}") from exc
     for name, model in fitted.items():
-        persist.save_model(model, models_dir / f"{name}.json")
+        persist.save_model(model, models_dir / f"{name}.json", m.feature_names)
 
     print(table_text)
     if ensemble_result is not None:
@@ -432,24 +424,23 @@ def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray, array]:
 
 
 def cmd_predict(args) -> int:
-    model = persist.load_model(args.model)
+    model, names = persist.load_model(args.model)
     header, x, lines = _read_feature_csv(args.input)
-
-    expected = persist.KINDS[persist.model_kind_of(model)].n_features(model)
-    if expected is not None and x.shape[1] != expected:
+    if names and header != list(names):
         raise ShapeError(
-            f"model expects {expected} feature columns, input has {x.shape[1]}"
-        )
-    names = getattr(model, "feature_names", ())
-    if names and list(names) != header:
-        raise ShapeError(
-            f"input header does not match the model's feature names {list(names)}"
+            f"{args.input}: model expects {len(names)} feature columns, input has "
+            f"{len(header)}: the header must be the model's feature names {list(names)}"
         )
     try:
         preds = persist.predict_model(model, x)
     except InvalidData as exc:
         where = args.input if exc.row is None else f"{args.input}:{lines[exc.row]}"
         raise InvalidData(f"{where}: {exc}") from exc
+    except ShapeError as exc:
+        if not names:  # the model records no names: the input lacks a column
+            raise
+        raise FormatError(f"{args.model}: the model does not fit its feature names "
+                          f"{list(names)}: {exc}") from exc
 
     persist.write_csv(["prediction"], [[float(v)] for v in preds], args.out)
     print(f"wrote {len(preds)} predictions")

@@ -120,21 +120,8 @@ class FeatureConfig:
     after the numeric columns and flagged so standardization skips them.
     """
 
-    use_rain: bool = True
-    use_temp: bool = True
-    use_pesticides: bool = True
     encode_item: bool = True
     encode_country: bool = False
-
-    def enabled_numeric(self) -> list[str]:
-        out = []
-        if self.use_rain:
-            out.append("rain_mm")
-        if self.use_temp:
-            out.append("temp_c")
-        if self.use_pesticides:
-            out.append("pesticides_tonnes")
-        return out
 
 
 @dataclass(frozen=True)
@@ -183,19 +170,15 @@ class FeatureMatrix:
 def build_feature_matrix(table: PanelTable, cfg: FeatureConfig) -> FeatureMatrix:
     """Lay out the design matrix from a panel table.
 
-    Column order: enabled numeric columns (rain, temp, pesticides), then the
+    Column order: the numeric columns (rain, temp, pesticides), then the
     item one-hot block, then the country one-hot block, each block in
     lexicographic category order. Target is yield in hg/ha. Row order follows
     the table.
     """
     if len(table) == 0:
         raise EmptyInput("panel table has no rows")
-    numeric = cfg.enabled_numeric()
-    if not numeric and not cfg.encode_item and not cfg.encode_country:
-        raise InvalidConfig("no feature sources enabled")
-
-    names = list(numeric)
-    blocks = [table.values[:, [PANEL_VALUES.index(c) for c in numeric]]]
+    names = list(NUMERIC_FEATURES)
+    blocks = [table.values[:, : len(NUMERIC_FEATURES)]]
     # (name prefix, key part, categories) of each one-hot block
     onehots = [("item", 2, table.items())] if cfg.encode_item else []
     onehots += [("iso3", 0, table.countries())] if cfg.encode_country else []
@@ -208,7 +191,7 @@ def build_feature_matrix(table: PanelTable, cfg: FeatureConfig) -> FeatureMatrix
         y=table.values[:, _YIELD].copy(),
         feature_names=tuple(names),
         row_keys=table.keys,
-        onehot=tuple(j >= len(numeric) for j in range(len(names))),
+        onehot=tuple(j >= len(NUMERIC_FEATURES) for j in range(len(names))),
     )
 
 

@@ -45,7 +45,6 @@ class KnnModel:
     y_train: np.ndarray
     k: int
     scaler: Scaler
-    feature_names: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -66,7 +65,6 @@ def fit_knn(
     y: np.ndarray,
     k: int = 5,
     passthrough: Optional[Sequence[bool]] = None,
-    feature_names: tuple[str, ...] = (),
 ) -> KnnModel:
     """Store the scaled training set; `passthrough` masks columns (one-hots)
     that skip z-scoring."""
@@ -86,7 +84,6 @@ def fit_knn(
         y_train=y.copy(),
         k=k,
         scaler=scaler,
-        feature_names=tuple(feature_names),
     )
 
 

@@ -36,7 +36,6 @@ class LinearModel:
     coefficients: np.ndarray
     intercept: float
     scaler: Optional[Scaler] = None
-    feature_names: tuple[str, ...] = ()
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -46,8 +45,6 @@ class LinearModel:
             raise ValueError("the scaler and coefficients differ in width")
         if not (np.isfinite(self.coefficients).all() and np.isfinite(self.intercept)):
             raise ValueError("non-finite model parameters")
-        if self.feature_names and len(self.feature_names) != len(self.coefficients):
-            raise ValueError("feature name count != coefficient count")
 
 
 @dataclass(frozen=True)
@@ -80,9 +77,7 @@ def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def fit_ols(
-    x: np.ndarray, y: np.ndarray, feature_names: Sequence[str] = ()
-) -> LinearModel:
+def fit_ols(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least-squares fit of y on x with an intercept.
 
     Rank-deficient designs are retried once with 1e-8 ridge jitter on the
@@ -108,7 +103,6 @@ def fit_ols(
     return LinearModel(
         coefficients=beta[:p],
         intercept=float(beta[p]),
-        feature_names=tuple(feature_names),
         metadata=metadata,
     )
 
@@ -141,7 +135,6 @@ def fit_sgd(
     y: np.ndarray,
     cfg: SgdConfig = SgdConfig(),
     passthrough: Optional[Sequence[bool]] = None,
-    feature_names: Sequence[str] = (),
 ) -> LinearModel:
     """Per-sample gradient descent on squared error with L2 on the weights.
 
@@ -214,7 +207,6 @@ def fit_sgd(
         coefficients=coef,
         intercept=float(bias),
         scaler=scaler,
-        feature_names=tuple(feature_names),
         metadata={
             "config": {
                 "learning_rate": cfg.learning_rate,

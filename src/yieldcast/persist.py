@@ -4,8 +4,11 @@ and tables.
 Canonical form: sorted keys, two-space indentation, ASCII-escaped strings,
 floats at 17 significant digits (exact float64 round-trip, with a ".0"
 suffix where %g would print an integer), files ending in a single newline.
-Saving what load_model returns reproduces the file byte for byte, and a
-reloaded model predicts bit-identically to the original. Non-finite floats
+Every model document records the names of the input columns its model was
+fit on (a top-level feature_names, in an ensemble's members too). With
+(model, names) = load_model(f), save_model(model, g, names) writes g byte
+for byte equal to a file f that save_model wrote, and a reloaded model
+predicts bit-identically to the original. Non-finite floats
 serialize as the strings "NaN"/"Infinity"/"-Infinity"; model payloads never
 contain them. A dataclass instance serializes as an object of its fields, so
 write-only documents (merge and run reports) and every model payload but
@@ -385,7 +388,7 @@ def _payload_readers(read_tree: Callable, metadata: dict) -> dict:
     ensemble's returns (name, model document) pairs, for _from_doc to read."""
     scaler = _record(Scaler, means=_floats, stds=_floats, passthrough=_tuple(_flag))
     linear = _record(partial(LinearModel, metadata=metadata), coefficients=_floats,
-                     intercept=_number, scaler=_optional(scaler), feature_names=_tuple(_name))
+                     intercept=_number, scaler=_optional(scaler))
     tree_config = _record(TreeConfig, max_depth=_integer, min_samples_leaf=_integer,
                           min_samples_split=_optional(_integer))
     forest_config = _record(ForestConfig, n_trees=_integer,
@@ -400,7 +403,7 @@ def _payload_readers(read_tree: Callable, metadata: dict) -> dict:
         "gbm": _record(GbmModel, init_value=_number, stages=_tuple(read_tree),
                        learning_rate=_number),
         "knn": _record(partial(KnnModel, metadata=metadata), x_train=_floats,
-                       y_train=_floats, k=_integer, scaler=scaler, feature_names=_tuple(_name)),
+                       y_train=_floats, k=_integer, scaler=scaler),
         "ensemble": _record(lambda members: members, members=_tuple(member)),
     }
 
@@ -431,21 +434,14 @@ def _predict_ensemble(e: EnsembleModel, x: np.ndarray) -> np.ndarray:
     return fsum_columns(member) / len(e.members)
 
 
-def _ensemble_n_features(e: EnsembleModel) -> Optional[int]:
-    counts = (KINDS[model_kind_of(m)].n_features(m) for _, m in e.members)
-    return next((c for c in counts if c is not None), None)
-
-
 class ModelKind(NamedTuple):
-    """How one kind of fitted model is recognised, applied, and sized: the
-    input column count the model records, or None (trees record none)."""
+    """How one kind of fitted model is recognised and applied."""
 
     model_type: type
     predict: Callable[[Any, np.ndarray], np.ndarray]
-    n_features: Callable[[Any], Optional[int]]
 
 
-_LINEAR = ModelKind(LinearModel, lambda m, x: predict_linear(m, x), lambda m: len(m.coefficients))
+_LINEAR = ModelKind(LinearModel, lambda m, x: predict_linear(m, x))
 
 # The one definition of the model kinds, in file-format order. Predict
 # entries look their predictor up by name when called, so wrappers installed
@@ -453,12 +449,11 @@ _LINEAR = ModelKind(LinearModel, lambda m, x: predict_linear(m, x), lambda m: le
 KINDS: dict[str, ModelKind] = {
     "ols": _LINEAR,
     "sgd": _LINEAR,
-    "cart": ModelKind(Tree, lambda t, x: predict_tree_batch(t, x), lambda t: None),
-    "forest": ModelKind(Forest, lambda f, x: predict_forest_batch(f, x), lambda f: None),
-    "gbm": ModelKind(GbmModel, lambda m, x: predict_gbm_batch(m, x), lambda m: None),
-    "knn": ModelKind(KnnModel, lambda m, x: predict_knn_batch(m, x),
-                     lambda m: m.x_train.shape[1]),
-    "ensemble": ModelKind(EnsembleModel, _predict_ensemble, _ensemble_n_features),
+    "cart": ModelKind(Tree, lambda t, x: predict_tree_batch(t, x)),
+    "forest": ModelKind(Forest, lambda f, x: predict_forest_batch(f, x)),
+    "gbm": ModelKind(GbmModel, lambda m, x: predict_gbm_batch(m, x)),
+    "knn": ModelKind(KnnModel, lambda m, x: predict_knn_batch(m, x)),
+    "ensemble": ModelKind(EnsembleModel, _predict_ensemble),
 }
 
 MODEL_KINDS = tuple(KINDS)
@@ -473,15 +468,17 @@ def model_kind_of(model: Any) -> str:
     raise InvalidConfig(f"no model kind for {type(model).__name__}")
 
 
-def _to_doc(model: Any) -> dict:
+def _to_doc(model: Any, feature_names: tuple[str, ...]) -> dict:
     kind = model_kind_of(model)
     if kind == "cart":
         payload: Any = {"tree": model}
     elif kind == "ensemble":
-        payload = {"members": [{"name": n, "model": _to_doc(m)} for n, m in model.members]}
+        payload = {"members": [{"name": n, "model": _to_doc(m, feature_names)}
+                               for n, m in model.members]}
     else:  # the model's fields, which _payload_readers declares
         payload = {f.name: getattr(model, f.name) for f in fields(model) if f.name != "metadata"}
     return {
+        "feature_names": feature_names,
         "format_version": MODEL_FORMAT_VERSION,
         "model_kind": kind,
         "payload": payload,
@@ -489,7 +486,7 @@ def _to_doc(model: Any) -> dict:
     }
 
 
-def _from_doc(doc: Any, path: str | Path) -> Any:
+def _from_doc(doc: Any, path: str | Path) -> tuple[Any, tuple[str, ...]]:
     if not isinstance(doc, dict):  # an ensemble member's model may be any JSON value
         raise FormatError(
             f"{path}: model document must be an object, got {type(doc).__name__}"
@@ -501,24 +498,40 @@ def _from_doc(doc: Any, path: str | Path) -> Any:
     metadata = doc.get("fit_metadata", {})
     if type(metadata) is not dict:
         raise FormatError(f"{path}: fit_metadata must be an object")
+    payload, names = doc.get("payload"), doc.get("feature_names", [])
+    if ("feature_names" not in doc and kind in ("ols", "sgd", "knn")
+            and type(payload) is dict and "feature_names" in payload):
+        # written when these kinds kept their names in the payload
+        names = payload["feature_names"]
+        payload = {k: v for k, v in payload.items() if k != "feature_names"}
+    try:
+        names = _tuple(_name)(names)
+    except ValueError as exc:
+        raise FormatError(f"{path}: feature_names: {exc}") from exc
     read_tree = _v1_tree if version == 1 else lambda payload: Tree(**payload)
     try:
-        model = _payload_readers(read_tree, dict(metadata))[kind](doc["payload"])
+        model = _payload_readers(read_tree, dict(metadata))[kind](payload)
         if kind == "ensemble":  # members read here: two stack frames a nesting level
-            model = EnsembleModel(tuple((name, _from_doc(m, path)) for name, m in model))
+            members = tuple((name, *_from_doc(m, path)) for name, m in model)
+            model = EnsembleModel(tuple((name, m) for name, m, _ in members))
+            names = names or next((n for _, _, n in members if n), ())
     except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig, ShapeError) as exc:
         # InvalidConfig, ShapeError: a constructor rejected the stored values
         raise FormatError(f"{path}: corrupted {kind} payload: {exc}") from exc
-    return model
+    return model, names
 
 
-def save_model(model: Any, path: str | Path) -> None:
-    """Write a fitted model in canonical form; its kind follows from its type."""
-    write_json(_to_doc(model), path)
+def save_model(model: Any, path: str | Path, feature_names: Sequence[str] = ()) -> None:
+    """Write a fitted model in canonical form, with the names of the input
+    columns it was fit on; its kind follows from its type."""
+    write_json(_to_doc(model, tuple(feature_names)), path)
 
 
-def load_model(path: str | Path) -> Any:
-    """Read a model document of version 1 or 2; validates every version and payload."""
+def load_model(path: str | Path) -> tuple[Any, tuple[str, ...]]:
+    """(model, the names of its input columns) from a model document of
+    version 1 or 2; validates every version and payload. The names are ()
+    where none are recorded: tree files written before the names were.
+    An ensemble that records none takes its first member's."""
     return _from_doc(read_json(path), path)
 
 

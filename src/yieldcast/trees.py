@@ -158,8 +158,9 @@ class Forest:
     config: ForestConfig
 
     def __post_init__(self):
-        if not self.trees:
-            raise ValueError("a forest needs at least one tree")
+        if len(self.trees) != self.config.n_trees:
+            raise ValueError(f"config.n_trees is {self.config.n_trees}, "
+                             f"but the forest holds {len(self.trees)} trees")
 
 
 @dataclass(frozen=True)

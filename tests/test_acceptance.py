@@ -379,7 +379,7 @@ def test_criterion_10_ensemble_averaging_identity(small_matrix):
     with criterion(10, "ensemble-averaging-identity", 30.0):
         m = small_matrix
         plan = make_folds(m.n, k=10, seed=0)
-        specs = model_specs(("ols", "cart", "knn"), m.onehot, m.feature_names, 0)
+        specs = model_specs(("ols", "cart", "knn"), m.onehot, 0)
         log: list = []
         _, result = ensemble_cv(specs, m, plan, member_log=log)
         assert len(log) == plan.k
@@ -393,7 +393,7 @@ def test_criterion_10_ensemble_averaging_identity(small_matrix):
                                       entry["ensemble"])
             assert result.per_fold[fold] == expected
 
-        cart_specs = model_specs(("cart",), m.onehot, m.feature_names, 0)
+        cart_specs = model_specs(("cart",), m.onehot, 0)
         _, doubled = ensemble_cv([cart_specs[0], cart_specs[0]], m, plan)
         single = cross_validate(cart_specs[0], m, plan)
         assert doubled.per_fold == single.per_fold

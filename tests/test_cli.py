@@ -226,7 +226,7 @@ class TestCv:
                    "--out", str(tmp_path), "--models", "ols", "--no-encode-item"])
         assert rc == 0
         doc = persist.read_json(tmp_path / "models" / "ols.json")
-        assert doc["payload"]["feature_names"] == [
+        assert doc["feature_names"] == [
             "rain_mm", "temp_c", "pesticides_tonnes",
         ]
 
@@ -383,22 +383,19 @@ class TestPredict:
         assert "wrote 2 predictions" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert lines[0] == "prediction"
-        model = persist.load_model(ols_model_path)
+        model, _ = persist.load_model(ols_model_path)
         expected = persist.predict_model(model, np.array(self.ROWS))
         assert [float(v) for v in lines[1:]] == expected.tolist()
 
     def test_wrong_column_count(self, ols_model_path, tmp_path, capsys):
         inp = tmp_path / "rows.csv"
         write_feature_csv(inp, self.HEADER[:2], [r[:2] for r in self.ROWS])
-        # The ensemble's count comes from its first member that records one.
         cart = flat(Internal(feature_index=0, threshold=0.5,
                              left=Leaf(1.0, 1), right=Leaf(2.0, 1)))
+        ols, names = persist.load_model(ols_model_path)
         ensemble_path = tmp_path / "ensemble.json"
         persist.save_model(
-            persist.EnsembleModel(
-                members=(("cart", cart), ("ols", persist.load_model(ols_model_path)))
-            ),
-            ensemble_path,
+            persist.EnsembleModel(members=(("cart", cart), ("ols", ols))), ensemble_path, names
         )
         for model_path in (ols_model_path, ensemble_path):
             rc = main(["predict", "--model", str(model_path),
@@ -469,7 +466,7 @@ class TestPredict:
         assert reader_peak - rows_peak < 3 * x.nbytes, (reader_peak - rows_peak) / x.nbytes
 
     def test_malformed_ensemble_file(self, ols_model_path, tmp_path, capsys):
-        ols = persist.load_model(ols_model_path)
+        ols, _ = persist.load_model(ols_model_path)
         model_path = tmp_path / "ensemble.json"
         persist.save_model(persist.EnsembleModel(members=(("a", ols), ("b", ols))),
                            model_path)
@@ -636,7 +633,7 @@ MALFORMED_TREES = {
 @pytest.mark.parametrize("case", list(MALFORMED_TREES))
 def test_malformed_tree_exits_1(case, tmp_path, capsys):
     model_path = tmp_path / "cart.json"
-    persist.save_model(persist.load_model(V1_DIR / "cart.json"), model_path)
+    persist.save_model(persist.load_model(V1_DIR / "cart.json")[0], model_path)
     doc = persist.read_json(V1_DIR / "cart.json" if case.startswith("v1") else model_path)
     MALFORMED_TREES[case](doc)
     model_path.write_text(json.dumps(doc))
@@ -742,6 +739,7 @@ MALFORMED_MODELS = {
     "forest string seed": ("forest", set_payload("config", "seed", value="x")),
     "forest integer bootstrap": ("forest", set_payload("config", "bootstrap", value=2)),
     "forest no trees": ("forest", set_payload("trees", value=[])),
+    "forest n_trees below its trees": ("forest", set_payload("config", "n_trees", value=3)),
     "forest extra payload key": ("forest", set_payload("weights", value=None)),
     "ensemble numeric member name": ("ensemble", set_payload("members", 0, "name", value=5)),
 }
@@ -761,6 +759,121 @@ def test_malformed_model_exits_1(numeric_models, case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 1 and err.startswith(f"error: {model_path}: "), err
     assert "Traceback" not in err and not out.exists()
+
+
+@pytest.fixture(scope="module")
+def six_models(panel_dir, tmp_path_factory):
+    """A model file of every kind, all six regressors and their ensemble, on
+    the three numeric columns."""
+    out = tmp_path_factory.mktemp("cv-six-models")
+    rc = main(["cv", "--panel", str(panel_dir / "panel.json"), "--out", str(out),
+               "--k", "2", "--no-encode-item"])
+    assert rc == 0
+    return out / "models"
+
+
+ALL_KINDS = ["ols", "sgd", "cart", "gbm", "knn", "forest", "ensemble"]
+
+
+def legacy_layout(doc):
+    """A model document as written before the feature names moved out of the
+    payload: ols, sgd and k-NN payloads hold them, the other kinds record none."""
+    names = doc.pop("feature_names")
+    if doc["model_kind"] in ("ols", "sgd", "knn"):
+        doc["payload"]["feature_names"] = names
+    for member in doc["payload"].get("members", []):
+        legacy_layout(member["model"])
+    return doc
+
+
+class TestFeatureSchema:
+    """predict takes a model's input columns by name, for every kind."""
+
+    HEADER = TestPredict.HEADER
+    ROWS = TestPredict.ROWS
+
+    def predict(self, model_path, header, rows, out):
+        inp = out.with_suffix(".in.csv")
+        write_feature_csv(inp, header, rows)
+        return main(["predict", "--model", str(model_path), "--input", str(inp),
+                     "--out", str(out)])
+
+    def assert_refused(self, rc, capsys, out):
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"the header must be the model's feature names {self.HEADER}" in err
+        assert "Traceback" not in err and not out.exists()
+        return err
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_every_kind_records_the_names(self, six_models, kind):
+        doc = persist.read_json(six_models / f"{kind}.json")
+        assert doc["feature_names"] == self.HEADER
+        assert "feature_names" not in doc["payload"]
+        assert persist.load_model(six_models / f"{kind}.json")[1] == tuple(self.HEADER)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_reordered_header_is_refused(self, six_models, kind, tmp_path, capsys):
+        # the same rows with their columns reordered: a model that took them by
+        # position would predict from rain as temperature
+        order = [1, 2, 0]
+        out = tmp_path / "p.csv"
+        rc = self.predict(six_models / f"{kind}.json", [self.HEADER[j] for j in order],
+                          [[row[j] for j in order] for row in self.ROWS], out)
+        self.assert_refused(rc, capsys, out)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_extra_column_is_refused(self, six_models, kind, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        rc = self.predict(six_models / f"{kind}.json", [*self.HEADER, "extra"],
+                          [[*row, 1.0] for row in self.ROWS], out)
+        assert "model expects 3 feature columns, input has 4" in self.assert_refused(
+            rc, capsys, out)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_right_header_predicts_as_the_legacy_layout(self, six_models, kind, tmp_path):
+        path = six_models / f"{kind}.json"
+        old = tmp_path / f"{kind}.json"
+        persist.write_json(legacy_layout(persist.read_json(path)), old)
+        assert self.predict(path, self.HEADER, self.ROWS, tmp_path / "new.csv") == 0
+        assert self.predict(old, self.HEADER, self.ROWS, tmp_path / "old.csv") == 0
+        written = (tmp_path / "new.csv").read_bytes()
+        assert written == (tmp_path / "old.csv").read_bytes()
+        model, _ = persist.load_model(path)
+        expected = persist.predict_model(model, np.array(self.ROWS))
+        assert [float(v) for v in written.decode().split()[1:]] == expected.tolist()
+
+    @pytest.mark.parametrize("kind", ["ols", "sgd", "knn", "ensemble"])
+    def test_legacy_layout_names_are_still_checked(self, six_models, kind, tmp_path, capsys):
+        doc = legacy_layout(persist.read_json(six_models / f"{kind}.json"))
+        if kind == "ensemble":  # it takes the names of its first member that has them
+            doc["payload"]["members"].reverse()
+            assert doc["payload"]["members"][0]["name"] == "forest"
+        path = tmp_path / f"{kind}.json"
+        persist.write_json(doc, path)
+        assert persist.load_model(path)[1] == tuple(self.HEADER)
+        out = tmp_path / "p.csv"
+        rc = self.predict(path, self.HEADER[::-1], [row[::-1] for row in self.ROWS], out)
+        self.assert_refused(rc, capsys, out)
+
+    @pytest.mark.parametrize("kind", ["ols", "knn", "forest"])
+    def test_names_narrower_than_the_model_are_the_files_fault(
+        self, six_models, kind, tmp_path, capsys
+    ):
+        doc = persist.read_json(six_models / f"{kind}.json")
+        width = 2
+        if kind == "forest":  # cut below the largest feature a tree splits on
+            width = max(max(tree["feature"]) for tree in doc["payload"]["trees"])
+            assert width >= 1
+        doc["feature_names"] = self.HEADER[:width]
+        path = tmp_path / f"{kind}.json"
+        persist.write_json(doc, path)
+        out = tmp_path / "p.csv"
+        rc = self.predict(path, self.HEADER[:width], [row[:width] for row in self.ROWS], out)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: the model does not fit its feature names")
+        assert "Traceback" not in err and not out.exists()
 
 
 def test_model_kind_names_agree():

@@ -132,12 +132,7 @@ class TestPanelTable:
 class TestFeatureConfig:
     def test_defaults(self):
         cfg = FeatureConfig()
-        assert cfg.enabled_numeric() == ["rain_mm", "temp_c", "pesticides_tonnes"]
         assert cfg.encode_item and not cfg.encode_country
-
-    def test_enabled_numeric_respects_switches(self):
-        cfg = FeatureConfig(use_temp=False)
-        assert cfg.enabled_numeric() == ["rain_mm", "pesticides_tonnes"]
 
 
 class TestBuildFeatureMatrix:
@@ -173,14 +168,6 @@ class TestBuildFeatureMatrix:
     def test_empty_table_rejected(self):
         with pytest.raises(EmptyInput):
             build_feature_matrix(make_table(), FeatureConfig())
-
-    def test_no_feature_sources_rejected(self, table):
-        cfg = FeatureConfig(
-            use_rain=False, use_temp=False, use_pesticides=False,
-            encode_item=False, encode_country=False,
-        )
-        with pytest.raises(InvalidConfig):
-            build_feature_matrix(table, cfg)
 
     def test_take_preserves_metadata(self, table):
         m = build_feature_matrix(table, FeatureConfig())

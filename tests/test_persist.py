@@ -367,7 +367,7 @@ def fitted_models():
     x = rng.normal(size=(30, 3))
     y = x @ np.array([1.0, -2.0, 0.5]) + 3.0 + 0.1 * rng.normal(size=30)
     tree_cfg = TreeConfig(max_depth=4, min_samples_leaf=2)
-    ols = fit_ols(x, y, feature_names=("a", "b", "c"))
+    ols = fit_ols(x, y)
     cart = fit_cart(x, y, tree_cfg)
     models = {
         "ols": ols,
@@ -391,38 +391,40 @@ class TestModelRoundTrip:
         assert model_kind_of(model) == kind
 
         first = tmp_path / f"{kind}.json"
-        save_model(model, first)
-        loaded = load_model(first)
+        save_model(model, first, ["a", "b", "c"])
+        loaded, names = load_model(first)
+        assert names == ("a", "b", "c")
+        members = read_json(first)["payload"].get("members", [])
+        assert [m["model"]["feature_names"] for m in members] == [["a", "b", "c"]] * len(members)
         np.testing.assert_array_equal(predict_model(loaded, x),
                                       predict_model(model, x))
 
         second = tmp_path / f"{kind}-resaved.json"
-        save_model(loaded, second)
+        save_model(loaded, second, names)
         assert first.read_bytes() == second.read_bytes()
 
     def test_tree_structure_survives_round_trip(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "cart.json"
         save_model(models["cart"], path)
-        assert nodes(load_model(path)) == nodes(models["cart"])
+        assert nodes(load_model(path)[0]) == nodes(models["cart"])
         path = tmp_path / "forest.json"
         save_model(models["forest"], path)
-        reloaded = load_model(path)
+        reloaded, _ = load_model(path)
         assert list(map(nodes, reloaded.trees)) == list(map(nodes, models["forest"].trees))
         assert reloaded.config == models["forest"].config
         path = tmp_path / "gbm.json"
         save_model(models["gbm"], path)
-        assert gbm_nodes(load_model(path)) == gbm_nodes(models["gbm"])
+        assert gbm_nodes(load_model(path)[0]) == gbm_nodes(models["gbm"])
 
     def test_linear_parameters_survive_round_trip(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "sgd.json"
         save_model(models["sgd"], path)
-        loaded = load_model(path)
+        loaded, _ = load_model(path)
         np.testing.assert_array_equal(loaded.coefficients,
                                       models["sgd"].coefficients)
         assert loaded.intercept == models["sgd"].intercept
-        assert loaded.feature_names == models["sgd"].feature_names
         np.testing.assert_array_equal(loaded.scaler.means,
                                       models["sgd"].scaler.means)
         assert loaded.metadata["config"] == models["sgd"].metadata["config"]
@@ -435,7 +437,7 @@ class TestModelRoundTrip:
         doc = read_json(path)
         del doc["fit_metadata"]["config"]["average_from"]
         write_json(doc, path)
-        loaded = load_model(path)
+        loaded, _ = load_model(path)
         assert model_kind_of(loaded) == "sgd"
         np.testing.assert_array_equal(predict_model(loaded, x),
                                       predict_model(models["sgd"], x))
@@ -534,7 +536,7 @@ class TestModelRoundTrip:
             doc = dict(leaf, model_kind="ensemble", payload={
                 "members": [{"name": "inner", "model": doc}, {"name": "cart", "model": leaf}]})
         path.write_text(json.dumps(doc))
-        np.testing.assert_array_equal(predict_model(load_model(path), x),
+        np.testing.assert_array_equal(predict_model(load_model(path)[0], x),
                                       predict_model(models["cart"], x))
 
     def test_ensemble_prediction_is_exact_member_mean(self, fitted_models):
@@ -603,14 +605,15 @@ class TestVersion1Files:
         expected = (V1_DIR / f"{kind}.predictions.csv").read_bytes()
         assert predict_file(v1, tmp_path / "v1.csv") == expected
 
-        model = load_model(v1)
+        model, names = load_model(v1)
+        assert names == ()  # version 1 trees record no names, and predict checks none
         v2 = tmp_path / f"{kind}.json"
         save_model(model, v2)
         doc = read_json(v2)
         members = doc["payload"]["members"] if kind == "ensemble" else []
         assert [doc["format_version"]] + [m["model"]["format_version"] for m in members] \
             == [2] * (1 + len(members))
-        assert tree_nodes(load_model(v2)) == tree_nodes(model)
+        assert tree_nodes(load_model(v2)[0]) == tree_nodes(model)
         assert predict_file(v2, tmp_path / "v2.csv") == expected
 
     def test_deep_version_1_tree_loads(self, tmp_path):
@@ -624,7 +627,7 @@ class TestVersion1Files:
         path = tmp_path / "deep.json"
         path.write_text('{"format_version": 1, "model_kind": "cart", "fit_metadata": {}, '
                         '"payload": {"tree": %s}}' % text)
-        tree = load_model(path)
+        tree, _ = load_model(path)
         assert len(tree.feature) == 2 * depth + 1
         x = np.array([[-1.0], [3.0], [depth - 0.5], [depth + 7.0]])
         assert predict_model(tree, x).tolist() == [0.0, 3.0, depth - 1.0, float(depth)]
@@ -632,12 +635,15 @@ class TestVersion1Files:
 
 @functools.cache
 def tree_documents() -> dict:
-    """The version 1 tree documents and their version 2 re-saves, by name."""
+    """The version 1 tree documents and their version 2 re-saves, which
+    record the feature names, by name."""
+    header = (V1_DIR / "features.csv").read_text().splitlines()[0].split(",")
     docs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for kind in TREE_KINDS:
             docs[f"v1 {kind}"] = read_json(V1_DIR / f"{kind}.json")
-            save_model(load_model(V1_DIR / f"{kind}.json"), Path(tmp) / "v2.json")
+            model, _ = load_model(V1_DIR / f"{kind}.json")
+            save_model(model, Path(tmp) / "v2.json", header)
             docs[f"v2 {kind}"] = read_json(Path(tmp) / "v2.json")
     return docs
 
@@ -712,7 +718,7 @@ def test_fuzzed_tree_documents_fail_cleanly_or_predict_finite(tmp_path_factory, 
     path.write_text(json.dumps(doc))  # non-finite floats as NaN/Infinity literals
     x = np.loadtxt(V1_DIR / "features.csv", delimiter=",", skiprows=1)
     try:
-        model = load_model(path)
+        model, _ = load_model(path)
     except YieldcastError:
         return
     assert mutation != "point a child back"
@@ -848,7 +854,5 @@ def test_written_document_layouts(tmp_path):
         assert set(entry) == {"kappa", "band", "bin_edges"}
     for entry in doc["holdout"]["metrics"].values():
         assert set(entry) == FOLD_KEYS
-    assert set(doc["environment"]["feature_config"]) == {
-        "use_rain", "use_temp", "use_pesticides", "encode_item", "encode_country",
-    }
+    assert set(doc["environment"]["feature_config"]) == {"encode_item", "encode_country"}
     assert set(doc["eda"]["correlation"]) == {"names", "matrix"}
