@@ -426,7 +426,7 @@ def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray, array]:
 def cmd_predict(args) -> int:
     model, names = persist.load_model(args.model)
     header, x, lines = _read_feature_csv(args.input)
-    if names and header != list(names):
+    if header != list(names):
         raise ShapeError(
             f"{args.input}: model expects {len(names)} feature columns, input has "
             f"{len(header)}: the header must be the model's feature names {list(names)}"
@@ -436,9 +436,7 @@ def cmd_predict(args) -> int:
     except InvalidData as exc:
         where = args.input if exc.row is None else f"{args.input}:{lines[exc.row]}"
         raise InvalidData(f"{where}: {exc}") from exc
-    except ShapeError as exc:
-        if not names:  # the model records no names: the input lacks a column
-            raise
+    except ShapeError as exc:  # the header is the names, so the file is at fault
         raise FormatError(f"{args.model}: the model does not fit its feature names "
                           f"{list(names)}: {exc}") from exc
 

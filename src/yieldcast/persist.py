@@ -4,18 +4,17 @@ and tables.
 Canonical form: sorted keys, two-space indentation, ASCII-escaped strings,
 floats at 17 significant digits (exact float64 round-trip, with a ".0"
 suffix where %g would print an integer), files ending in a single newline.
-Every model document records the names of the input columns its model was
-fit on (a top-level feature_names, in an ensemble's members too). With
-(model, names) = load_model(f), save_model(model, g, names) writes g byte
-for byte equal to a file f that save_model wrote, and a reloaded model
-predicts bit-identically to the original. Non-finite floats
-serialize as the strings "NaN"/"Infinity"/"-Infinity"; model payloads never
-contain them. A dataclass instance serializes as an object of its fields, so
+Every model document must record the input columns its model was fit on,
+as a nonempty top-level feature_names (an ensemble's, in each member too).
+With (model, names) = load_model(f), save_model(model, g, names) writes g
+byte for byte equal to a file f that save_model wrote, and a reloaded model
+predicts bit-identically to the original. Non-finite floats serialize as
+the strings "NaN"/"Infinity"/"-Infinity"; model payloads never contain them. A dataclass instance serializes as an object of its fields, so
 write-only documents (merge and run reports) and every model payload but
 cart's and the ensemble's need no hand-written layout; typed readers, which
 coerce no JSON type, read the payloads back (_payload_readers). Model
-documents are at format_version 2 (trees as node arrays) and load_model also
-reads version 1 (nested tree nodes); panels and reports are at version 1.
+documents are at format_version 2 (trees as node arrays), the one version
+load_model reads; panels and reports are at version 1.
 """
 from __future__ import annotations
 
@@ -49,7 +48,8 @@ from .trees import (
 )
 
 FORMAT_VERSION = 1
-MODEL_FORMAT_VERSION = 2  # trees as node arrays; version 1 model documents are still read
+MODEL_FORMAT_VERSION = 2  # trees as node arrays, and feature_names required
+_REWRITE = "re-run `yieldcast cv` to write the model file again"  # how to mend one not read
 
 PANEL_COLUMNS = ("iso3", "country", "year", "item", *PANEL_VALUES)
 # the JSON types a panel row's cells may hold: no booleans, no numeric strings
@@ -298,13 +298,22 @@ def write_json(obj: Any, path: str | Path) -> None:
     _write_file(path, fill)
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')  # characters that a CSV field holds only in quotes
+
+
+def _csv_field(v: str) -> str:
+    """v as one RFC 4180 field: in quotes, its own doubled, if it holds _CSV_SPECIAL."""
+    return v if _CSV_SPECIAL.isdisjoint(v) else '"' + v.replace('"', '""') + '"'
+
+
 def write_csv(header: Sequence[str], rows: Iterable[Sequence], path: str | Path) -> None:
-    """A header line, then one line per row; floats at 17 significant digits."""
+    """A header line, then one line per row; floats at 17 significant digits,
+    strings quoted where RFC 4180 needs it (_csv_field)."""
 
     def cell(v) -> str:
-        return format(v, ".17g") if isinstance(v, float) else str(v)
+        return format(v, ".17g") if isinstance(v, float) else _csv_field(str(v))
 
-    lines = [",".join(header)]
+    lines = [",".join(map(_csv_field, header))]
     lines += [",".join(cell(v) for v in row) for row in rows]
     text = "\n".join(lines) + "\n"
     _write_file(path, lambda fh: fh.write(text))
@@ -325,12 +334,12 @@ def read_json(path: str | Path) -> Any:
         raise FormatError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
-def _check_version(doc: Any, path: str | Path, versions=(FORMAT_VERSION,)) -> dict:
+def _check_version(doc: Any, path: str | Path, version=FORMAT_VERSION, mend="") -> dict:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: top level must be an object")
-    version = doc.get("format_version")
-    if type(version) is not int or version not in versions:
-        raise UnsupportedVersion(f"{path}: format_version {version!r} not supported")
+    found = doc.get("format_version")
+    if type(found) is not int or found != version:
+        raise UnsupportedVersion(f"{path}: format_version {found!r} not supported{mend}")
     return doc
 
 
@@ -382,10 +391,15 @@ def _record(build: Callable, **readers: Callable) -> Callable:
     return read
 
 
-def _payload_readers(read_tree: Callable, metadata: dict) -> dict:
-    """The payload reader of each model kind, for a document whose trees
-    read_tree reads and whose linear or k-NN model carries `metadata`. The
-    ensemble's returns (name, model document) pairs, for _from_doc to read."""
+def _tree(payload: Any) -> Tree:
+    """A tree from its node arrays, which Tree checks."""
+    return Tree(**payload)
+
+
+def _payload_readers(metadata: dict) -> dict:
+    """The payload reader of each model kind, for a document whose linear or
+    k-NN model carries `metadata`. The ensemble's returns (name, model
+    document) pairs, for _from_doc to read."""
     scaler = _record(Scaler, means=_floats, stds=_floats, passthrough=_tuple(_flag))
     linear = _record(partial(LinearModel, metadata=metadata), coefficients=_floats,
                      intercept=_number, scaler=_optional(scaler))
@@ -398,35 +412,14 @@ def _payload_readers(read_tree: Callable, metadata: dict) -> dict:
     return {
         "ols": linear,
         "sgd": linear,
-        "cart": _record(lambda tree: tree, tree=read_tree),
-        "forest": _record(Forest, trees=_tuple(read_tree), config=forest_config),
-        "gbm": _record(GbmModel, init_value=_number, stages=_tuple(read_tree),
+        "cart": _record(lambda tree: tree, tree=_tree),
+        "forest": _record(Forest, trees=_tuple(_tree), config=forest_config),
+        "gbm": _record(GbmModel, init_value=_number, stages=_tuple(_tree),
                        learning_rate=_number),
         "knn": _record(partial(KnnModel, metadata=metadata), x_train=_floats,
                        y_train=_floats, k=_integer, scaler=scaler),
         "ensemble": _record(lambda members: members, members=_tuple(member)),
     }
-
-
-def _v1_tree(node: Any) -> Tree:
-    """A version 1 nested tree ({"kind": "leaf"/"split", ...}) as a Tree,
-    its nodes in preorder; iterative, so depth raises no RecursionError."""
-    records: list[list] = []
-    stack = [(node, None)]  # (node, record whose right child it is)
-    while stack:
-        node, parent = stack.pop()
-        if parent is not None:
-            parent[3] = len(records)
-        kind = node["kind"]
-        if kind == "leaf":
-            records.append([-1, 0.0, -1, -1, node["value"], node["n_samples"]])
-        elif kind == "split":
-            record = [node["feature_index"], node["threshold"], len(records) + 1, -1, 0.0, 0]
-            records.append(record)
-            stack += [(node["right"], record), (node["left"], None)]
-        else:
-            raise ValueError(f"unknown tree node kind {kind!r}")
-    return Tree.from_records(records)
 
 
 def _predict_ensemble(e: EnsembleModel, x: np.ndarray) -> np.ndarray:
@@ -491,47 +484,50 @@ def _from_doc(doc: Any, path: str | Path) -> tuple[Any, tuple[str, ...]]:
         raise FormatError(
             f"{path}: model document must be an object, got {type(doc).__name__}"
         )
-    version = _check_version(doc, path, (1, MODEL_FORMAT_VERSION))["format_version"]
+    _check_version(doc, path, MODEL_FORMAT_VERSION, mend=f": {_REWRITE}")
     kind = doc.get("model_kind")
     if kind not in MODEL_KINDS:  # a tuple, so an unhashable kind compares unequal
         raise FormatError(f"{path}: unknown model_kind {kind!r}")
     metadata = doc.get("fit_metadata", {})
     if type(metadata) is not dict:
         raise FormatError(f"{path}: fit_metadata must be an object")
-    payload, names = doc.get("payload"), doc.get("feature_names", [])
-    if ("feature_names" not in doc and kind in ("ols", "sgd", "knn")
-            and type(payload) is dict and "feature_names" in payload):
-        # written when these kinds kept their names in the payload
-        names = payload["feature_names"]
-        payload = {k: v for k, v in payload.items() if k != "feature_names"}
     try:
-        names = _tuple(_name)(names)
+        names = _tuple(_name)(doc.get("feature_names", []))
     except ValueError as exc:
         raise FormatError(f"{path}: feature_names: {exc}") from exc
-    read_tree = _v1_tree if version == 1 else lambda payload: Tree(**payload)
+    if not names:
+        raise FormatError(f"{path}: the {kind} model records no feature_names: {_REWRITE}")
     try:
-        model = _payload_readers(read_tree, dict(metadata))[kind](payload)
+        model = _payload_readers(dict(metadata))[kind](doc.get("payload"))
         if kind == "ensemble":  # members read here: two stack frames a nesting level
             members = tuple((name, *_from_doc(m, path)) for name, m in model)
+            for name, _, member_names in members:
+                if member_names != names:
+                    raise ValueError(f"member {name!r} records other feature_names than "
+                                     f"the ensemble's: {list(member_names)}")
             model = EnsembleModel(tuple((name, m) for name, m, _ in members))
-            names = names or next((n for _, _, n in members if n), ())
+        if kind == "forest" and (model.config.features_per_split or 0) > len(names):
+            raise ValueError(f"features_per_split {model.config.features_per_split} is "
+                             f"above the {len(names)} feature names")
     except (KeyError, TypeError, ValueError, OverflowError, InvalidConfig, ShapeError) as exc:
         # InvalidConfig, ShapeError: a constructor rejected the stored values
         raise FormatError(f"{path}: corrupted {kind} payload: {exc}") from exc
     return model, names
 
 
-def save_model(model: Any, path: str | Path, feature_names: Sequence[str] = ()) -> None:
-    """Write a fitted model in canonical form, with the names of the input
-    columns it was fit on; its kind follows from its type."""
+def save_model(model: Any, path: str | Path, feature_names: Sequence[str]) -> None:
+    """Write a fitted model in canonical form, with the (required) names of
+    the input columns it was fit on; its kind follows from its type."""
+    if not feature_names:
+        raise InvalidConfig(f"{path}: a model file needs the names of its input columns")
     write_json(_to_doc(model, tuple(feature_names)), path)
 
 
 def load_model(path: str | Path) -> tuple[Any, tuple[str, ...]]:
-    """(model, the names of its input columns) from a model document of
-    version 1 or 2; validates every version and payload. The names are ()
-    where none are recorded: tree files written before the names were.
-    An ensemble that records none takes its first member's."""
+    """(model, the names of its input columns) from a version 2 model
+    document; validates every version, payload and name list. A document
+    that records no names, and an ensemble member whose names differ from
+    the ensemble's, raise FormatError naming the file."""
     return _from_doc(read_json(path), path)
 
 

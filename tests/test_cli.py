@@ -129,6 +129,18 @@ class TestExplore:
             "rain_mm", "temp_c", "pesticides_tonnes",
         ]
 
+    def test_item_frequency_reads_back_through_csv_rows(self, tmp_path):
+        # "Rice, paddy" holds a comma, so its cell is written in quotes
+        paths = synth.write_snapshot(tmp_path / "snap", countries=synth.COUNTRIES[:2],
+                                     climate_years=(1995, 2000), pesticide_years=(1995, 2000),
+                                     yield_years=(1995, 2000))
+        assert main(["explore", *input_flags(paths), "--out", str(tmp_path)]) == 0
+        data = (tmp_path / "item_frequency.csv").read_bytes()
+        assert b'\n"Rice, paddy",' in data
+        rows = [cells for _, cells in ingest.csv_rows(data)]
+        assert rows[0] == ["item", "count"]
+        assert sorted(item for item, count in rows[1:]) == sorted(synth.ITEMS)
+
     def test_vif_needs_more_rows_than_predictors(self, tmp_path):
         paths = synth.write_snapshot(
             tmp_path / "snap",
@@ -466,10 +478,10 @@ class TestPredict:
         assert reader_peak - rows_peak < 3 * x.nbytes, (reader_peak - rows_peak) / x.nbytes
 
     def test_malformed_ensemble_file(self, ols_model_path, tmp_path, capsys):
-        ols, _ = persist.load_model(ols_model_path)
+        ols, names = persist.load_model(ols_model_path)
         model_path = tmp_path / "ensemble.json"
         persist.save_model(persist.EnsembleModel(members=(("a", ols), ("b", ols))),
-                           model_path)
+                           model_path, names)
         doc = persist.read_json(model_path)
         inp = tmp_path / "rows.csv"
         write_feature_csv(inp, self.HEADER, self.ROWS)
@@ -525,14 +537,15 @@ class TestPredict:
         write_feature_csv(inp, ["x"], [[1.0], [2.0]])
         for kind, model in models.items():
             model_path = tmp_path / f"{kind}.json"
-            persist.save_model(model, model_path)
+            persist.save_model(model, model_path, ["x"])
             out = tmp_path / f"{kind}.csv"
             rc = main(["predict", "--model", str(model_path),
                        "--input", str(inp), "--out", str(out)])
-            assert rc == 2, kind
+            assert rc == 1, kind  # the header is the recorded names: the file is at fault
             err = capsys.readouterr().err
-            assert "too few columns" in err and "Traceback" not in err, kind
-            assert not out.exists(), kind
+            assert err.startswith(f"error: {model_path}: the model does not fit its feature "
+                                  f"names ['x']: input has too few columns"), kind
+            assert "Traceback" not in err and not out.exists(), kind
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("kind", ["ols", "sgd", "knn", "ensemble"])
@@ -555,7 +568,7 @@ class TestPredict:
         model = GbmModel(init_value=1.7e308, stages=(flat(Leaf(1.7e308, 1)),),
                          learning_rate=1.0)
         model_path = tmp_path / "gbm.json"
-        persist.save_model(model, model_path)
+        persist.save_model(model, model_path, ["x"])
         inp = tmp_path / "rows.csv"
         write_feature_csv(inp, ["x"], [[1.0], [2.0]])
         out = tmp_path / "p.csv"
@@ -577,7 +590,7 @@ class TestPredict:
         write_feature_csv(inp, ["x"], [[1.0], [2.0]])
         for kind, model in models.items():
             model_path = tmp_path / f"{kind}.json"
-            persist.save_model(model, model_path)
+            persist.save_model(model, model_path, ["x"])
             out = tmp_path / f"{kind}.csv"
             rc = main(["predict", "--model", str(model_path),
                        "--input", str(inp), "--out", str(out)])
@@ -587,7 +600,18 @@ class TestPredict:
             assert not out.exists(), kind
 
 
-V1_DIR = Path(__file__).parent / "data" / "v1"
+MODELS_DIR = Path(__file__).parent / "data" / "models"
+
+
+def v1_cart():
+    """A version 1 cart document, its tree as nested nodes: a format no
+    longer read, although it records its feature names."""
+    leaf = {"kind": "leaf", "n_samples": 3, "value": 1.0}
+    tree = {"kind": "split", "feature_index": 2, "threshold": 5000.0, "left": leaf,
+            "right": dict(leaf, value=2.0)}
+    return {"feature_names": persist.read_json(MODELS_DIR / "cart.json")["feature_names"],
+            "fit_metadata": {}, "format_version": 1, "model_kind": "cart",
+            "payload": {"tree": tree}}
 
 
 def set_v1(field, value, at_leaf=False):
@@ -632,16 +656,18 @@ MALFORMED_TREES = {
 
 @pytest.mark.parametrize("case", list(MALFORMED_TREES))
 def test_malformed_tree_exits_1(case, tmp_path, capsys):
-    model_path = tmp_path / "cart.json"
-    persist.save_model(persist.load_model(V1_DIR / "cart.json")[0], model_path)
-    doc = persist.read_json(V1_DIR / "cart.json" if case.startswith("v1") else model_path)
+    v1 = case.startswith("v1")
+    doc = v1_cart() if v1 else persist.read_json(MODELS_DIR / "cart.json")
     MALFORMED_TREES[case](doc)
+    model_path = tmp_path / "cart.json"
     model_path.write_text(json.dumps(doc))
     out = tmp_path / "predictions.csv"
-    rc = main(["predict", "--model", str(model_path), "--input", str(V1_DIR / "features.csv"),
-               "--out", str(out)])
+    rc = main(["predict", "--model", str(model_path), "--input",
+               str(MODELS_DIR / "features.csv"), "--out", str(out)])
     err = capsys.readouterr().err
-    assert rc == 1 and f"error: {model_path}: corrupted cart payload" in err
+    why = ("format_version 1 not supported: re-run `yieldcast cv`" if v1
+           else "corrupted cart payload")
+    assert rc == 1 and f"error: {model_path}: {why}" in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -741,6 +767,8 @@ MALFORMED_MODELS = {
     "forest no trees": ("forest", set_payload("trees", value=[])),
     "forest n_trees below its trees": ("forest", set_payload("config", "n_trees", value=3)),
     "forest extra payload key": ("forest", set_payload("weights", value=None)),
+    "forest features_per_split above its names": (
+        "forest", set_payload("config", "features_per_split", value=4)),
     "ensemble numeric member name": ("ensemble", set_payload("members", 0, "name", value=5)),
 }
 
@@ -776,14 +804,28 @@ ALL_KINDS = ["ols", "sgd", "cart", "gbm", "knn", "forest", "ensemble"]
 
 
 def legacy_layout(doc):
-    """A model document as written before the feature names moved out of the
-    payload: ols, sgd and k-NN payloads hold them, the other kinds record none."""
+    """A model document as written before it recorded its input columns at
+    the top: ols, sgd and k-NN payloads hold them, the other kinds none."""
     names = doc.pop("feature_names")
     if doc["model_kind"] in ("ols", "sgd", "knn"):
         doc["payload"]["feature_names"] = names
     for member in doc["payload"].get("members", []):
         legacy_layout(member["model"])
     return doc
+
+
+NO_NAMES = "model records no feature_names: re-run `yieldcast cv` to write the model file again"
+
+# (model kind, edit, error) of model files whose input columns are not known
+NAMELESS_MODELS = {
+    "empty feature_names": ("gbm", lambda doc: doc.update(feature_names=[]), NO_NAMES),
+    "ensemble member with empty names": (
+        "ensemble", set_payload("members", 1, "model", "feature_names", value=[]), NO_NAMES),
+    "ensemble member with other names": (
+        "ensemble", set_payload("members", 2, "model", "feature_names",
+                                value=["temp_c", "rain_mm", "pesticides_tonnes"]),
+        "corrupted ensemble payload: member 'cart' records other feature_names"),
+}
 
 
 class TestFeatureSchema:
@@ -830,31 +872,46 @@ class TestFeatureSchema:
         assert "model expects 3 feature columns, input has 4" in self.assert_refused(
             rc, capsys, out)
 
+    def assert_file_refused(self, doc, header, rows, tmp_path, capsys, why):
+        path = tmp_path / f"{doc['model_kind']}.json"
+        persist.write_json(doc, path)
+        out = tmp_path / "p.csv"
+        assert self.predict(path, header, rows, out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and why in err, err
+        assert "Traceback" not in err and not out.exists()
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
-    def test_right_header_predicts_as_the_legacy_layout(self, six_models, kind, tmp_path):
+    def test_right_header_predicts_as_the_legacy_layout(self, six_models, kind, tmp_path, capsys):
+        # the file with its names predicts from the right header; the same
+        # model in the legacy layout, with no names at the top, exits 1
         path = six_models / f"{kind}.json"
-        old = tmp_path / f"{kind}.json"
-        persist.write_json(legacy_layout(persist.read_json(path)), old)
         assert self.predict(path, self.HEADER, self.ROWS, tmp_path / "new.csv") == 0
-        assert self.predict(old, self.HEADER, self.ROWS, tmp_path / "old.csv") == 0
         written = (tmp_path / "new.csv").read_bytes()
-        assert written == (tmp_path / "old.csv").read_bytes()
         model, _ = persist.load_model(path)
         expected = persist.predict_model(model, np.array(self.ROWS))
         assert [float(v) for v in written.decode().split()[1:]] == expected.tolist()
+        doc = legacy_layout(persist.read_json(path))
+        self.assert_file_refused(doc, self.HEADER, self.ROWS, tmp_path, capsys, NO_NAMES)
 
     @pytest.mark.parametrize("kind", ["ols", "sgd", "knn", "ensemble"])
     def test_legacy_layout_names_are_still_checked(self, six_models, kind, tmp_path, capsys):
+        # names kept in a linear or k-NN payload, or in an ensemble's first
+        # named member, are not read: the file is refused whatever the header
         doc = legacy_layout(persist.read_json(six_models / f"{kind}.json"))
-        if kind == "ensemble":  # it takes the names of its first member that has them
+        if kind == "ensemble":
             doc["payload"]["members"].reverse()
             assert doc["payload"]["members"][0]["name"] == "forest"
-        path = tmp_path / f"{kind}.json"
-        persist.write_json(doc, path)
-        assert persist.load_model(path)[1] == tuple(self.HEADER)
-        out = tmp_path / "p.csv"
-        rc = self.predict(path, self.HEADER[::-1], [row[::-1] for row in self.ROWS], out)
-        self.assert_refused(rc, capsys, out)
+        for header, rows in ((self.HEADER, self.ROWS),
+                             (self.HEADER[::-1], [row[::-1] for row in self.ROWS])):
+            self.assert_file_refused(doc, header, rows, tmp_path, capsys, NO_NAMES)
+
+    @pytest.mark.parametrize("case", list(NAMELESS_MODELS))
+    def test_model_file_without_its_names_exits_1(self, six_models, case, tmp_path, capsys):
+        kind, edit, why = NAMELESS_MODELS[case]
+        doc = persist.read_json(six_models / f"{kind}.json")
+        edit(doc)
+        self.assert_file_refused(doc, self.HEADER, self.ROWS, tmp_path, capsys, why)
 
     @pytest.mark.parametrize("kind", ["ols", "knn", "forest"])
     def test_names_narrower_than_the_model_are_the_files_fault(

@@ -39,6 +39,7 @@ from yieldcast.evaluate import (
     cross_validate,
     make_folds,
 )
+from yieldcast.ingest import csv_rows
 from yieldcast.knn import fit_knn
 from yieldcast.linear import LinearModel, SgdConfig, fit_ols, fit_sgd
 from yieldcast.persist import (
@@ -58,6 +59,7 @@ from yieldcast.persist import (
 from yieldcast.trees import (
     ForestConfig,
     GbmConfig,
+    Tree,
     TreeConfig,
     fit_cart,
     fit_forest,
@@ -355,10 +357,21 @@ class TestReadWrite:
         with pytest.raises(IoError):
             write_csv(["a"], [[1]], tmp_path)
 
+    def test_csv_fields_are_quoted_as_rfc_4180(self, tmp_path):
+        # a cell holding a comma, a quote or a line break reads back whole
+        path = tmp_path / "table.csv"
+        header = ["item=Rice, paddy", 'say "a"', "x"]
+        rows = [["Rice, paddy", 'a "b", c', 0.5], ["two\nlines", "\r", 3]]
+        write_csv(header, rows, path)
+        assert path.read_bytes().startswith(b'"item=Rice, paddy","say ""a""",x\n"Rice, paddy",')
+        assert [cells for _, cells in csv_rows(path.read_bytes())] == [
+            header, ["Rice, paddy", 'a "b", c', "0.5"], ["two\nlines", "\r", "3"]]
 
-# model files written at format_version 1 (see data/v1/README.md)
-V1_DIR = Path(__file__).parent / "data" / "v1"
+
+# committed model files and their feature rows (see data/models/README.md)
+MODELS_DIR = Path(__file__).parent / "data" / "models"
 TREE_KINDS = ("cart", "forest", "gbm", "ensemble")
+NAMES = ["a", "b", "c"]  # the input columns of fitted_models
 
 
 @pytest.fixture(scope="module")
@@ -391,11 +404,11 @@ class TestModelRoundTrip:
         assert model_kind_of(model) == kind
 
         first = tmp_path / f"{kind}.json"
-        save_model(model, first, ["a", "b", "c"])
+        save_model(model, first, NAMES)
         loaded, names = load_model(first)
-        assert names == ("a", "b", "c")
+        assert names == tuple(NAMES)
         members = read_json(first)["payload"].get("members", [])
-        assert [m["model"]["feature_names"] for m in members] == [["a", "b", "c"]] * len(members)
+        assert [m["model"]["feature_names"] for m in members] == [NAMES] * len(members)
         np.testing.assert_array_equal(predict_model(loaded, x),
                                       predict_model(model, x))
 
@@ -406,21 +419,21 @@ class TestModelRoundTrip:
     def test_tree_structure_survives_round_trip(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "cart.json"
-        save_model(models["cart"], path)
+        save_model(models["cart"], path, NAMES)
         assert nodes(load_model(path)[0]) == nodes(models["cart"])
         path = tmp_path / "forest.json"
-        save_model(models["forest"], path)
+        save_model(models["forest"], path, NAMES)
         reloaded, _ = load_model(path)
         assert list(map(nodes, reloaded.trees)) == list(map(nodes, models["forest"].trees))
         assert reloaded.config == models["forest"].config
         path = tmp_path / "gbm.json"
-        save_model(models["gbm"], path)
+        save_model(models["gbm"], path, NAMES)
         assert gbm_nodes(load_model(path)[0]) == gbm_nodes(models["gbm"])
 
     def test_linear_parameters_survive_round_trip(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "sgd.json"
-        save_model(models["sgd"], path)
+        save_model(models["sgd"], path, NAMES)
         loaded, _ = load_model(path)
         np.testing.assert_array_equal(loaded.coefficients,
                                       models["sgd"].coefficients)
@@ -433,7 +446,7 @@ class TestModelRoundTrip:
         # files written before SgdConfig.average_from existed lack the key
         models, x = fitted_models
         path = tmp_path / "sgd.json"
-        save_model(models["sgd"], path)
+        save_model(models["sgd"], path, NAMES)
         doc = read_json(path)
         del doc["fit_metadata"]["config"]["average_from"]
         write_json(doc, path)
@@ -445,10 +458,10 @@ class TestModelRoundTrip:
     def test_version_gate(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "m.json"
-        save_model(models["ols"], path)
+        save_model(models["ols"], path, NAMES)
         doc = read_json(path)
         assert doc["format_version"] == 2
-        for version in (3, 0, "2", 2.0, True):
+        for version in (1, 3, 0, "2", 2.0, True):
             doc["format_version"] = version
             write_json(doc, path)
             with pytest.raises(UnsupportedVersion):
@@ -458,7 +471,7 @@ class TestModelRoundTrip:
         with pytest.raises(UnsupportedVersion):
             load_model(path)
         # every member of an ensemble carries its own version
-        save_model(models["ensemble"], path)
+        save_model(models["ensemble"], path, NAMES)
         doc = read_json(path)
         doc["payload"]["members"][1]["model"]["format_version"] = 3
         write_json(doc, path)
@@ -468,7 +481,7 @@ class TestModelRoundTrip:
     def test_corrupted_payloads(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "m.json"
-        save_model(models["cart"], path)
+        save_model(models["cart"], path, NAMES)
         doc = read_json(path)
 
         bad = dict(doc, model_kind="perceptron")
@@ -493,12 +506,6 @@ class TestModelRoundTrip:
         with pytest.raises(FormatError):
             load_model(path)
 
-        bad = read_json(V1_DIR / "cart.json")
-        bad["payload"]["tree"]["kind"] = "branch"
-        write_json(bad, path)
-        with pytest.raises(FormatError, match="unknown tree node kind 'branch'"):
-            load_model(path)
-
         write_json([1, 2], path)
         with pytest.raises(FormatError):
             load_model(path)
@@ -507,7 +514,7 @@ class TestModelRoundTrip:
     def test_non_object_ensemble_member(self, member_model, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "ensemble.json"
-        save_model(models["ensemble"], path)
+        save_model(models["ensemble"], path, NAMES)
         doc = read_json(path)
         doc["payload"]["members"][0]["model"] = member_model
         write_json(doc, path)
@@ -517,7 +524,7 @@ class TestModelRoundTrip:
     def test_one_member_ensemble_file(self, fitted_models, tmp_path):
         models, _ = fitted_models
         path = tmp_path / "ensemble.json"
-        save_model(models["ensemble"], path)
+        save_model(models["ensemble"], path, NAMES)
         doc = read_json(path)
         del doc["payload"]["members"][1:]
         write_json(doc, path)
@@ -530,7 +537,7 @@ class TestModelRoundTrip:
         # levels (600 levels of JSON) load and predict
         models, x = fitted_models
         path = tmp_path / "cart.json"
-        save_model(models["cart"], path)
+        save_model(models["cart"], path, NAMES)
         leaf = doc = read_json(path)
         for _ in range(150):
             doc = dict(leaf, model_kind="ensemble", payload={
@@ -571,81 +578,73 @@ class TestModelRoundTrip:
         with pytest.raises(InvalidConfig):
             predict_model(object(), np.ones((2, 2)))
         with pytest.raises(InvalidConfig):
-            save_model(object(), "unused.json")
+            save_model(object(), "unused.json", NAMES)
 
+    def test_names_are_required_on_save(self, fitted_models, tmp_path):
+        models, _ = fitted_models
+        path = tmp_path / "ols.json"
+        for names in ([], ()):
+            with pytest.raises(InvalidConfig, match="names of its input columns"):
+                save_model(models["ols"], path, names)
+        assert not path.exists()
 
-def tree_nodes(model):
-    """Every tree of a tree model or ensemble in nested form, with the rest
-    of its fields: comparable with ==."""
-    kind = model_kind_of(model)
-    if kind == "cart":
-        return nodes(model)
-    if kind == "forest":
-        return list(map(nodes, model.trees)), model.config
-    if kind == "gbm":
-        return gbm_nodes(model)
-    if kind == "ensemble":
-        return [(name, tree_nodes(member)) for name, member in model.members]
-    return kind  # no trees
+    def test_deep_tree_loads_and_predicts(self, tmp_path):
+        # a chain of splits, each sending x <= i left to a leaf
+        depth = 800
+        records = []
+        for i in range(depth):
+            records += [[0, i + 0.5, 2 * i + 1, 2 * i + 2, 0.0, 0], [-1, 0.0, -1, -1, float(i), 1]]
+        tree = Tree.from_records(records + [[-1, 0.0, -1, -1, float(depth), 1]])
+        path = tmp_path / "deep.json"
+        save_model(tree, path, ["x"])
+        tree, names = load_model(path)
+        assert len(tree.feature) == 2 * depth + 1 and names == ("x",)
+        x = np.array([[-1.0], [3.0], [depth - 0.5], [depth + 7.0]])
+        assert predict_model(tree, x).tolist() == [0.0, 3.0, depth - 1.0, float(depth)]
 
 
 def predict_file(model_path, out):
-    """`yieldcast predict` of the version 1 feature rows; returns the output."""
-    rc = main(["predict", "--model", str(model_path), "--input", str(V1_DIR / "features.csv"),
-               "--out", str(out)])
+    """`yieldcast predict` of the committed feature rows; returns the output."""
+    rc = main(["predict", "--model", str(model_path), "--input",
+               str(MODELS_DIR / "features.csv"), "--out", str(out)])
     assert rc == 0
     return out.read_bytes()
 
 
 class TestVersion1Files:
+    """The tree files first written at format_version 1, converted once to
+    version 2 with their feature names (data/models/README.md): each still
+    predicts the bytes that its version 1 file predicted."""
+
     @pytest.mark.parametrize("kind", TREE_KINDS)
     def test_loads_predicts_and_resaves_as_version_2(self, kind, tmp_path):
-        v1 = V1_DIR / f"{kind}.json"
-        assert read_json(v1)["format_version"] == 1
-        expected = (V1_DIR / f"{kind}.predictions.csv").read_bytes()
-        assert predict_file(v1, tmp_path / "v1.csv") == expected
+        path = MODELS_DIR / f"{kind}.json"
+        expected = (MODELS_DIR / f"{kind}.predictions.csv").read_bytes()
+        assert predict_file(path, tmp_path / "committed.csv") == expected
 
-        model, names = load_model(v1)
-        assert names == ()  # version 1 trees record no names, and predict checks none
-        v2 = tmp_path / f"{kind}.json"
-        save_model(model, v2)
-        doc = read_json(v2)
+        model, names = load_model(path)
+        header = (MODELS_DIR / "features.csv").read_text().splitlines()[0].split(",")
+        assert names == tuple(header)
+        resaved = tmp_path / f"{kind}.json"
+        save_model(model, resaved, names)
+        assert resaved.read_bytes() == path.read_bytes()
+        doc = read_json(resaved)
         members = doc["payload"]["members"] if kind == "ensemble" else []
         assert [doc["format_version"]] + [m["model"]["format_version"] for m in members] \
             == [2] * (1 + len(members))
-        assert tree_nodes(load_model(v2)[0]) == tree_nodes(model)
-        assert predict_file(v2, tmp_path / "v2.csv") == expected
-
-    def test_deep_version_1_tree_loads(self, tmp_path):
-        # a chain of splits, each sending x <= i left to a leaf: nested about
-        # as deeply as the JSON reader allows
-        depth = 800
-        leaf = '{"kind": "leaf", "n_samples": 1, "value": %d.0}'
-        text = "".join('{"kind": "split", "feature_index": 0, "threshold": %d.5, "left": %s, '
-                       '"right": ' % (i, leaf % i) for i in range(depth))
-        text += leaf % depth + "}" * depth
-        path = tmp_path / "deep.json"
-        path.write_text('{"format_version": 1, "model_kind": "cart", "fit_metadata": {}, '
-                        '"payload": {"tree": %s}}' % text)
-        tree, _ = load_model(path)
-        assert len(tree.feature) == 2 * depth + 1
-        x = np.array([[-1.0], [3.0], [depth - 0.5], [depth + 7.0]])
-        assert predict_model(tree, x).tolist() == [0.0, 3.0, depth - 1.0, float(depth)]
 
 
 @functools.cache
 def tree_documents() -> dict:
-    """The version 1 tree documents and their version 2 re-saves, which
-    record the feature names, by name."""
-    header = (V1_DIR / "features.csv").read_text().splitlines()[0].split(",")
-    docs = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for kind in TREE_KINDS:
-            docs[f"v1 {kind}"] = read_json(V1_DIR / f"{kind}.json")
-            model, _ = load_model(V1_DIR / f"{kind}.json")
-            save_model(model, Path(tmp) / "v2.json", header)
-            docs[f"v2 {kind}"] = read_json(Path(tmp) / "v2.json")
-    return docs
+    """The committed tree documents, by kind."""
+    return {kind: read_json(MODELS_DIR / f"{kind}.json") for kind in TREE_KINDS}
+
+
+def records_names(doc) -> bool:
+    """Whether a model document and each of its ensemble members record a
+    nonempty feature_names."""
+    members = doc["payload"].get("members", []) if doc["model_kind"] == "ensemble" else []
+    return bool(doc.get("feature_names")) and all(records_names(m["model"]) for m in members)
 
 
 def child_arrays(doc):
@@ -716,12 +715,13 @@ def test_fuzzed_tree_documents_fail_cleanly_or_predict_finite(tmp_path_factory, 
     fuzz(data, doc, mutation)
     path = tmp_path_factory.getbasetemp() / "fuzzed.json"
     path.write_text(json.dumps(doc))  # non-finite floats as NaN/Infinity literals
-    x = np.loadtxt(V1_DIR / "features.csv", delimiter=",", skiprows=1)
+    x = np.loadtxt(MODELS_DIR / "features.csv", delimiter=",", skiprows=1)
     try:
         model, _ = load_model(path)
     except YieldcastError:
         return
     assert mutation != "point a child back"
+    assert records_names(doc)  # a document without feature_names never loads
     try:
         predictions = predict_model(model, x)
     except ShapeError:  # a tree splits on a column x lacks
