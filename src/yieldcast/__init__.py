@@ -9,8 +9,6 @@ their averaging ensemble, with deterministic JSON artifacts throughout.
 __version__ = "0.1.0"
 
 from .core import (
-    ClimateRecord,
-    FaoRecord,
     FeatureConfig,
     FeatureMatrix,
     PanelTable,
@@ -22,8 +20,6 @@ from .errors import YieldcastError
 
 __all__ = [
     "__version__",
-    "ClimateRecord",
-    "FaoRecord",
     "FeatureConfig",
     "FeatureMatrix",
     "PanelTable",

@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import os
+import shutil
 import sys
+import tempfile
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -371,14 +374,26 @@ def cmd_cv(args) -> int:
     }
 
     out = _out_dir(cfg.out)
-    persist.write_report(report, out / "report.json")
     models_dir = out / "models"
+    # Every file is written into a temporary directory first and moved into
+    # place only once all are complete, so a run that fails leaves the old
+    # outputs as they were, and no mix of old and new files.
     try:
         models_dir.mkdir(exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".cv-", dir=out))
     except OSError as exc:
-        raise IoError(f"cannot create {models_dir}: {exc}") from exc
-    for name, model in fitted.items():
-        persist.save_model(model, models_dir / f"{name}.json", m.feature_names)
+        raise IoError(f"cannot write into {out}: {exc}") from exc
+    try:
+        persist.write_report(report, staging / "report.json")
+        for name, model in fitted.items():
+            persist.save_model(model, staging / f"{name}.json", m.feature_names)
+        for name in fitted:
+            os.replace(staging / f"{name}.json", models_dir / f"{name}.json")
+        os.replace(staging / "report.json", out / "report.json")
+    except OSError as exc:
+        raise IoError(f"cannot write into {out}: {exc}") from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
     print(table_text)
     if ensemble_result is not None:

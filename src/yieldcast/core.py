@@ -1,5 +1,7 @@
 """Panel-data model, feature-matrix construction, standardization, splitting.
 
+The raw CSV rows never reach this module: `ingest` parses them into columns,
+checks them there, and merges them into the PanelTable defined here.
 Everything here is immutable after construction and safe to share across
 threads. Rows are keyed by (iso3, year, item) and kept in sorted key order so
 downstream results never depend on source-file row order.
@@ -28,43 +30,6 @@ _PESTICIDES, _YIELD = map(PANEL_VALUES.index, ("pesticides_tonnes", "yield_hg_ha
 # cells that `fsum_columns` turns into Python floats at a time, for
 # math.fsum of the columns it cannot certify
 _FSUM_BLOCK_CELLS = 1 << 16
-
-
-@dataclass(frozen=True, slots=True)
-class ClimateRecord:
-    """One country-year reading of rainfall (mm) or temperature (degrees C)."""
-
-    year: int
-    country: str
-    iso3: str
-    value: float
-
-    def __post_init__(self):
-        if not (len(self.iso3) == 3 and self.iso3.isalpha() and self.iso3.isupper()):
-            raise ValueError(f"bad ISO3 code: {self.iso3!r}")
-        if not 1901 <= self.year <= 2100:
-            raise ValueError(f"year {self.year} outside [1901, 2100]")
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value: {self.value}")
-
-
-@dataclass(frozen=True, slots=True)
-class FaoRecord:
-    """One area-item-year row: crop yield (hg/ha) or pesticide use (tonnes)."""
-
-    area: str
-    item: str
-    year: int
-    unit: str
-    value: float
-
-    def __post_init__(self):
-        if self.unit not in ("hg/ha", "tonnes"):
-            raise ValueError(f"unknown unit: {self.unit!r}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"non-finite value: {self.value}")
-        if self.value < 0:
-            raise ValueError(f"negative value: {self.value}")
 
 
 @dataclass(frozen=True)
@@ -347,8 +312,6 @@ def train_test_split(
 
 
 __all__ = [
-    "ClimateRecord",
-    "FaoRecord",
     "PanelTable",
     "FeatureConfig",
     "FeatureMatrix",

@@ -1,5 +1,9 @@
 """Descriptive statistics over the raw inputs and the merged panel.
 
+The raw inputs arrive as the columns the ingest parsers make
+(ClimateColumns, FaoColumns); annual means and item counts read them
+directly.
+
 Correlations use the two-pass centered formula, which is stable for the
 value ranges seen here (yields reach 1e6 hg/ha). VIF is computed from
 auxiliary least-squares fits, so exactly collinear columns surface as
@@ -14,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FaoRecord
 from .errors import ConstantFeature, EmptyInput, InvalidData, ShapeError
+from .ingest import ClimateColumns, FaoColumns
 from .linear import fit_ols, predict_linear
 from .persist import write_csv
 
@@ -53,25 +57,25 @@ class CorrMatrix:
         return float(self.matrix[self.names.index(a), self.names.index(b)])
 
 
-def annual_mean(records: Sequence, label: str) -> AnnualSeries:
+def annual_mean(rows: ClimateColumns | FaoColumns, label: str) -> AnnualSeries:
     """Mean value per year across all countries, years ascending.
 
-    Works for any record with year and value attributes (climate rows,
-    FAOSTAT rows).
+    Works for the columns of either parser (climate rows, FAOSTAT rows).
+    Each year's mean is np.mean over its values in row order.
     """
-    if not records:
+    if not rows:
         raise EmptyInput("no climate records to aggregate")
     by_year: dict[int, list[float]] = defaultdict(list)
-    for r in records:
-        by_year[r.year].append(r.value)
+    for year, value in zip(rows.year, rows.value):
+        by_year[year].append(value)
     years = tuple(sorted(by_year))
     values = tuple(float(np.mean(by_year[y])) for y in years)
     return AnnualSeries(label=label, years=years, values=values)
 
 
-def item_frequency(records: Sequence[FaoRecord]) -> list[tuple[str, int]]:
+def item_frequency(rows: FaoColumns) -> list[tuple[str, int]]:
     """Row counts per item, most frequent first; ties break alphabetically."""
-    counts = Counter(r.item for r in records)
+    counts = Counter(rows.item)
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 

@@ -1,22 +1,30 @@
 """Parsing of the two source CSV dialects and the four-way panel merge.
 
 Climate files carry (Year, Country, ISO3, value) rows; FAO-style files carry
-(Area, Item, Year, Unit, Value) rows. Countries in FAO files are named by
-free-text area strings, so a shipped alias map bridges them onto ISO3 codes.
-The merge is an inner join: a panel row exists only when rainfall,
-temperature, pesticide use and the crop's yield are all present for that
-country-year.
+(Area, Item, Year, Unit, Value) rows. Each parser makes one pass over its
+CSV's rows, applies the row rules inline and appends each kept row's
+converted cells to typed columns (ClimateColumns, FaoColumns); no object is
+built per row, and a refused row becomes a RowError naming its line.
+Countries in FAO files are named by free-text area strings, so a shipped
+alias map bridges them onto ISO3 codes. The merge reads the columns and is
+an inner join: a panel row exists only when rainfall, temperature,
+pesticide use and the crop's yield are all present for that country-year.
 """
 from __future__ import annotations
 
 import csv
 import io
+import math
 import sys
+from array import array
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Optional
+from itertools import compress
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .core import ClimateRecord, FaoRecord, PanelTable
+import numpy as np
+
+from .core import PanelTable
 from .errors import EmptyJoin, FormatError, InvalidConfig
 
 PESTICIDE_ITEM = "Pesticides (total)"
@@ -31,10 +39,47 @@ class RowError:
 
 
 @dataclass(frozen=True)
-class ParseResult:
-    """Parsed records plus everything that was rejected or suspicious."""
+class ClimateColumns:
+    """Kept climate rows as columns, in file order: row i is (year[i],
+    country[i], iso3[i], value[i])."""
 
-    records: tuple
+    year: array = field(default_factory=lambda: array("l"))
+    country: list[str] = field(default_factory=list)
+    iso3: list[str] = field(default_factory=list)
+    value: array = field(default_factory=lambda: array("d"))
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+
+@dataclass(frozen=True)
+class FaoColumns:
+    """Kept FAO rows as columns, in file order: row i is (area[i], item[i],
+    year[i], unit[i], value[i]). A year holds any int, as FAO years are not
+    range-checked."""
+
+    area: list[str] = field(default_factory=list)
+    item: list[str] = field(default_factory=list)
+    year: list[int] = field(default_factory=list)
+    unit: list[str] = field(default_factory=list)
+    value: array = field(default_factory=lambda: array("d"))
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def where(self, keep: Sequence[bool]) -> "FaoColumns":
+        """The rows whose entry in keep is true, in order."""
+        return FaoColumns(
+            *(list(compress(c, keep)) for c in (self.area, self.item, self.year, self.unit)),
+            array("d", compress(self.value, keep)),
+        )
+
+
+@dataclass(frozen=True)
+class ParseResult:
+    """Parsed rows as columns, plus everything that was rejected or suspicious."""
+
+    records: ClimateColumns | FaoColumns
     row_errors: tuple[RowError, ...] = ()
     warnings: tuple[str, ...] = ()
 
@@ -62,14 +107,10 @@ def csv_rows(data) -> Iterator[tuple[int, list[str]]]:
         raise FormatError(f"line {reader.line_num}: {exc}") from exc
 
 
-def _parse_records(data, layout: str, record: Callable[[list[str]], object]) -> ParseResult:
-    """Records of a CSV whose header starts with the columns named in layout.
-
-    Header cells match case-insensitively; a "<...>" column matches any
-    name. Each data row becomes record(row). A row with fewer cells than
-    layout names, or one that record rejects with ValueError, is kept as a
-    RowError instead.
-    """
+def _data_rows(data, layout: str) -> Iterator[tuple[int, list[str]]]:
+    """csv_rows of a CSV whose header starts with the columns named in layout,
+    after that header. Header cells match case-insensitively; a "<...>"
+    column matches any name."""
     columns = layout.split(",")
     rows = csv_rows(data)
     _, header = next(rows, (None, None))
@@ -79,57 +120,95 @@ def _parse_records(data, layout: str, record: Callable[[list[str]], object]) -> 
     expected = [n if c.startswith("<") else c.lower() for c, n in zip(columns, names)]
     if len(names) < len(columns) or names != expected:
         raise FormatError(f"bad header {header!r}: expected {layout}")
+    return rows
 
-    records = []
-    errors: list[RowError] = []
-    for line, row in rows:
-        try:
-            if len(row) < len(columns):
-                raise ValueError(f"expected {len(columns)} fields, got {len(row)}")
-            records.append(record(row))
-        except ValueError as exc:
-            errors.append(RowError(line, str(exc)))
-    warnings = () if records or errors else ("no data rows after header",)
-    return ParseResult(tuple(records), tuple(errors), warnings)
+
+def _result(columns: ClimateColumns | FaoColumns, errors: list[RowError]) -> ParseResult:
+    warnings = () if columns or errors else ("no data rows after header",)
+    return ParseResult(columns, tuple(errors), warnings)
 
 
 def parse_cckp_csv(data, variable_kind: str) -> ParseResult:
-    """Parse a climate CSV (Year, Country, ISO3, value-by-position-4).
+    """Parse a climate CSV (Year, Country, ISO3, value-by-position-4) into
+    ClimateColumns.
 
     The fourth column's header name varies between exports, so it is selected
-    by position. Rows with non-numeric years or values, and rows that
-    ClimateRecord rejects (years out of range, malformed ISO3 codes,
-    non-finite values), are collected as RowErrors. Records that name the
-    same country or ISO3 code share one string object.
+    by position. A row is refused, as a RowError naming its line, when it has
+    fewer than 4 cells, a non-numeric year or value, a malformed ISO3 code
+    (three upper-case letters), a year outside [1901, 2100] or a non-finite
+    value, checked in that order. Rows that name the same country or ISO3
+    code share one string object.
     """
     if variable_kind not in ("precipitation", "temperature"):
         raise InvalidConfig(f"unknown variable kind: {variable_kind!r}")
-    return _parse_records(
-        data,
-        "Year,Country,ISO3,<value>",
-        lambda row: ClimateRecord(
-            year=int(row[0]), country=sys.intern(row[1].strip()),
-            iso3=sys.intern(row[2].strip()), value=float(row[3]),
-        ),
+    rows = _data_rows(data, "Year,Country,ISO3,<value>")
+    out = ClimateColumns()
+    add_year, add_country, add_iso3, add_value = (
+        out.year.append, out.country.append, out.iso3.append, out.value.append
     )
+    errors: list[RowError] = []
+    intern = sys.intern
+    for line, row in rows:
+        try:
+            if len(row) < 4:
+                raise ValueError(f"expected 4 fields, got {len(row)}")
+            year, country, iso3, value = (
+                int(row[0]), intern(row[1].strip()), intern(row[2].strip()), float(row[3])
+            )
+            if not (len(iso3) == 3 and iso3.isalpha() and iso3.isupper()):
+                raise ValueError(f"bad ISO3 code: {iso3!r}")
+            if not 1901 <= year <= 2100:
+                raise ValueError(f"year {year} outside [1901, 2100]")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value: {value}")
+        except ValueError as exc:
+            errors.append(RowError(line, str(exc)))
+            continue
+        add_year(year)
+        add_country(country)
+        add_iso3(iso3)
+        add_value(value)
+    return _result(out, errors)
 
 
 def parse_fao_csv(data) -> ParseResult:
-    """Parse an Area,Item,Year,Unit,Value CSV.
+    """Parse an Area,Item,Year,Unit,Value CSV into FaoColumns.
 
-    Rows with non-numeric years or values, and rows that FaoRecord rejects
-    (units outside {hg/ha, tonnes}, negative or non-finite values), are
-    collected as RowErrors. Records that name the same area, item or unit
-    share one string object.
+    A row is refused, as a RowError naming its line, when it has fewer than
+    5 cells, a non-numeric year or value, a unit outside {hg/ha, tonnes},
+    or a non-finite or negative value, checked in that order. Rows that name
+    the same area, item or unit share one string object.
     """
-    return _parse_records(
-        data,
-        "Area,Item,Year,Unit,Value",
-        lambda row: FaoRecord(
-            area=sys.intern(row[0].strip()), item=sys.intern(row[1].strip()),
-            year=int(row[2]), unit=sys.intern(row[3].strip()), value=float(row[4]),
-        ),
+    rows = _data_rows(data, "Area,Item,Year,Unit,Value")
+    out = FaoColumns()
+    add_area, add_item, add_year, add_unit, add_value = (
+        out.area.append, out.item.append, out.year.append, out.unit.append, out.value.append
     )
+    errors: list[RowError] = []
+    intern = sys.intern
+    for line, row in rows:
+        try:
+            if len(row) < 5:
+                raise ValueError(f"expected 5 fields, got {len(row)}")
+            area, item, year, unit, value = (
+                intern(row[0].strip()), intern(row[1].strip()), int(row[2]),
+                intern(row[3].strip()), float(row[4]),
+            )
+            if unit not in ("hg/ha", "tonnes"):
+                raise ValueError(f"unknown unit: {unit!r}")
+            if not math.isfinite(value):
+                raise ValueError(f"non-finite value: {value}")
+            if value < 0:
+                raise ValueError(f"negative value: {value}")
+        except ValueError as exc:
+            errors.append(RowError(line, str(exc)))
+            continue
+        add_area(area)
+        add_item(item)
+        add_year(year)
+        add_unit(unit)
+        add_value(value)
+    return _result(out, errors)
 
 
 def _normalize_name(name: str) -> str:
@@ -233,38 +312,39 @@ class MergeReport:
         return "\n".join(lines)
 
 
-def _keep_last(pairs: Iterable[tuple], report: MergeReport, label: str) -> dict:
-    """Index (key, value) pairs; a repeated key keeps its last value and is
-    counted in report.duplicate_rows[label]."""
-    pairs = list(pairs)
-    index = dict(pairs)
-    if len(index) < len(pairs):
-        report.duplicate_rows[label] = len(pairs) - len(index)
+def _keep_last(keys: list, values: Iterable, report: MergeReport, label: str) -> dict:
+    """Index values by the keys at the same positions; a repeated key keeps
+    its last value and is counted in report.duplicate_rows[label]."""
+    index = dict(zip(keys, values))
+    if len(index) < len(keys):
+        report.duplicate_rows[label] = len(keys) - len(index)
     return index
 
 
-def pesticide_totals(records: Iterable[FaoRecord]) -> list[FaoRecord]:
+def pesticide_totals(rows: FaoColumns) -> FaoColumns:
     """The pesticide rows the panel uses: all pesticides together, in tonnes."""
-    return [r for r in records if r.item == PESTICIDE_ITEM and r.unit == "tonnes"]
+    return rows.where(
+        [item == PESTICIDE_ITEM and unit == "tonnes" for item, unit in zip(rows.item, rows.unit)]
+    )
 
 
-def _located(records: list, aliases: CountryAliasMap, unmatched: set) -> list:
-    """(record, (canonical, iso3)) for each record whose area the alias map
-    resolves; the areas it cannot resolve are added to unmatched."""
-    hits = {area: normalize_country(area, aliases) for area in {r.area for r in records}}
+def _located(rows: FaoColumns, aliases: CountryAliasMap, unmatched: set) -> list:
+    """(canonical, iso3) for each row's area, None where the alias map cannot
+    resolve it; the areas it cannot resolve are added to unmatched."""
+    hits = {area: normalize_country(area, aliases) for area in set(rows.area)}
     unmatched.update(area for area, hit in hits.items() if hit is None)
-    return [(r, hits[r.area]) for r in records if hits[r.area] is not None]
+    return [hits[area] for area in rows.area]
 
 
 def merge_panel(
-    rain,
-    temp,
-    pesticides,
-    yields,
+    rain: ClimateColumns,
+    temp: ClimateColumns,
+    pesticides: FaoColumns,
+    yields: FaoColumns,
     aliases: CountryAliasMap,
     source_digests: Optional[dict] = None,
 ) -> tuple[PanelTable, MergeReport]:
-    """Inner-join the four sources into a PanelTable plus its MergeReport.
+    """Inner-join the four parsed sources into a PanelTable plus its MergeReport.
 
     A panel row exists iff the country-year has rainfall, temperature and a
     pesticide total, and the country-year-item has a yield value. Climate and
@@ -279,50 +359,58 @@ def merge_panel(
             "yields": len(yields),
         }
     )
-    rain_by = _keep_last((((r.iso3, r.year), r.value) for r in rain), report, "rain")
-    temp_by = _keep_last((((r.iso3, r.year), r.value) for r in temp), report, "temp")
+    rain_by = _keep_last(list(zip(rain.iso3, rain.year)), rain.value, report, "rain")
+    temp_by = _keep_last(list(zip(temp.iso3, temp.year)), temp.value, report, "temp")
 
     unmatched: set[str] = set()
     pest = pesticide_totals(pesticides)
     report.ignored_pesticide_items = len(pesticides) - len(pest)
-    pest_hits = _located(pest, aliases, unmatched)
-    report.unmatched_pesticide_rows = len(pest) - len(pest_hits)
-    pest_by = _keep_last(
-        (((iso3, r.year), r.value) for r, (_, iso3) in pest_hits), report, "pesticides"
-    )
+    pest_keys, pest_values = [], []
+    for hit, year, value in zip(_located(pest, aliases, unmatched), pest.year, pest.value):
+        if hit is not None:
+            pest_keys.append((hit[1], year))
+            pest_values.append(value)
+    report.unmatched_pesticide_rows = len(pest) - len(pest_keys)
+    pest_by = _keep_last(pest_keys, pest_values, report, "pesticides")
 
-    crops = [r for r in yields if r.unit == "hg/ha"]
+    crops = yields.where([unit == "hg/ha" for unit in yields.unit])
     report.ignored_yield_units = len(yields) - len(crops)
-    crop_hits = _located(crops, aliases, unmatched)
-    report.unmatched_yield_rows = len(crops) - len(crop_hits)
+    crop_at = _located(crops, aliases, unmatched)
 
-    def joined():
-        for rec, (canonical, iso3) in crop_hits:
-            cy = (iso3, rec.year)
-            if cy not in rain_by:
-                report.dropped_for_missing["rain"] += 1
-            elif cy not in temp_by:
-                report.dropped_for_missing["temp"] += 1
-            elif cy not in pest_by:
-                report.dropped_for_missing["pesticides"] += 1
-            else:
-                values = (rain_by[cy], temp_by[cy], pest_by[cy], rec.value)
-                yield (iso3, rec.year, rec.item), (canonical, values)
-
-    rows = _keep_last(joined(), report, "yields")
+    # climate[slot[cy]] is the (rain, temp, pesticides) of a country-year
+    # that all three sources cover
+    slot = {cy: j for j, cy in enumerate(cy for cy in rain_by if cy in temp_by and cy in pest_by)}
+    climate = [(rain_by[cy], temp_by[cy], pest_by[cy]) for cy in slot]
+    report.unmatched_yield_rows = crop_at.count(None)
+    keys, country, joined, crop_value = [], [], [], []
+    for hit, item, year, value in zip(crop_at, crops.item, crops.year, crops.value):
+        if hit is None:
+            continue
+        canonical, iso3 = hit
+        cy = (iso3, year)
+        j = slot.get(cy)
+        if j is None:
+            first = "rain" if cy not in rain_by else "temp" if cy not in temp_by else "pesticides"
+            report.dropped_for_missing[first] += 1
+        else:
+            keys.append((iso3, year, item))
+            country.append(canonical)
+            joined.append(j)
+            crop_value.append(value)
+    last = _keep_last(keys, range(len(keys)), report, "yields")  # each key's last row
 
     report.unmatched_areas = sorted(unmatched)
-    report.rows_out = len(rows)
-    if not rows:
+    report.rows_out = len(last)
+    if not last:
         raise EmptyJoin(
             "merge produced zero rows: check year overlap and country aliases"
         )
-    keys = tuple(sorted(rows))
-    table = PanelTable(
-        keys=keys,
-        country=tuple(rows[k][0] for k in keys),
-        values=[rows[k][1] for k in keys],
+    keys = tuple(sorted(last))
+    order = [last[k] for k in keys]
+    values = np.column_stack(
+        (np.array(climate)[np.array(joined)[order]], np.array(crop_value)[order])
     )
+    table = PanelTable(keys=keys, country=tuple(country[i] for i in order), values=values)
     report.year_range = table.year_range()
     report.country_count = len(table.countries())
 
@@ -336,6 +424,8 @@ def merge_panel(
 __all__ = [
     "PESTICIDE_ITEM",
     "RowError",
+    "ClimateColumns",
+    "FaoColumns",
     "ParseResult",
     "csv_rows",
     "parse_cckp_csv",

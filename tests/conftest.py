@@ -66,7 +66,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 
 def parse_snapshot(paths: dict) -> dict:
-    """All four snapshot CSVs parsed into records keyed by source name."""
+    """All four snapshot CSVs parsed into columns keyed by source name."""
     return {
         "rain": parse_cckp_csv(paths["rain"].read_text(encoding="utf-8"), "precipitation").records,
         "temp": parse_cckp_csv(paths["temp"].read_text(encoding="utf-8"), "temperature").records,

@@ -5,6 +5,7 @@ import hashlib
 import json
 import tracemalloc
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import synth
 from tree_oracles import Internal, Leaf, flat
 from yieldcast import cli, ingest, persist
 from yieldcast.cli import main
+from yieldcast.errors import IoError
 from yieldcast.evaluate import METRIC_NAMES
 from yieldcast.trees import Forest, ForestConfig, GbmModel
 
@@ -64,6 +66,26 @@ class TestIngest:
             "merge_report.json":
                 "5709b311a2cc8ba2f82eee94669594c6d04e6ceb2bf014a1f0f291862ea255a6",
         }
+
+    def test_snapshot_explore_outputs_are_pinned(self, tmp_path, capsys):
+        # sha256 of every file explore --vif writes for this snapshot: how the
+        # parsed rows are held in memory must not change a byte of any of them
+        paths = synth.write_snapshot(tmp_path / "snap")
+        out = tmp_path / "out"
+        assert main(["explore", *input_flags(paths), "--out", str(out), "--vif"]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == {
+            "annual_pesticides.csv":
+                "c3ad9573a5a31a813fe35dfcf076aea773e424af33da6e28eb6f6b80c9239906",
+            "annual_rain.csv": "ce98cf36205debe87ed4bbbdb58b0edcc2f0f46f2a77c2f13d1f74e1792f2c2a",
+            "annual_temp.csv": "6d9c16637d3e6f7077989b57d25d28dae8c68bf7b89873a900eaedff5a9aa7f7",
+            "correlation_matrix.csv":
+                "dd4c3721a495a94e8c235e4d305eed6aa4644c56ac59f972fb8d3f966facf1f5",
+            "item_frequency.csv":
+                "d848290d5f4e809911f270f29de3479ce0c12c9c6d8ab226534e4c9accd8a013",
+            "vif.csv": "306cc1e4ec31e3b0f0405f6c3a2853d4ef284f069ee3a1e03e7219ec89cc8af1",
+        }
+        assert capsys.readouterr().out == "explored 2700 merged rows covering (1990, 2016)\n"
 
     def test_missing_input_file(self, snap, tmp_path):
         flags = input_flags(snap)
@@ -354,6 +376,34 @@ class TestCv:
             assert (out1 / "models" / name).read_bytes() == (
                 out2 / "models" / name
             ).read_bytes()
+
+    def test_failed_write_leaves_the_old_outputs(self, panel_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        flags = ["cv", "--panel", str(panel_dir / "panel.json"), "--out", str(tmp_path),
+                 "--models", "ols,cart", "--k", "3"]
+        assert main(flags) == 0
+
+        def outputs() -> dict[str, Optional[bytes]]:
+            return {str(p.relative_to(tmp_path)): p.read_bytes() if p.is_file() else None
+                    for p in tmp_path.rglob("*")}
+
+        old = outputs()
+        assert sorted(old) == [
+            "models", "models/cart.json", "models/ensemble.json", "models/ols.json",
+            "report.json",
+        ]
+        save_model = persist.save_model
+
+        def fail_on_cart(model, path, names):
+            if Path(path).name == "cart.json":
+                raise IoError(f"cannot write {path}: disk full")
+            save_model(model, path, names)
+
+        monkeypatch.setattr(persist, "save_model", fail_on_cart)
+        # another seed: every file this run would write differs from the old one
+        assert main([*flags, "--seed", "1"]) == 1
+        assert "disk full" in capsys.readouterr().err
+        assert outputs() == old  # and no temporary directory is left
 
 
 @pytest.fixture(scope="module")

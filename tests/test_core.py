@@ -1,4 +1,4 @@
-"""Record validation, feature-matrix layout, scaling, and splitting."""
+"""Input row rules, feature-matrix layout, scaling, and splitting."""
 from __future__ import annotations
 
 import math
@@ -11,8 +11,6 @@ from hypothesis import strategies as st
 
 from yieldcast import core
 from yieldcast.core import (
-    ClimateRecord,
-    FaoRecord,
     FeatureConfig,
     FeatureMatrix,
     PANEL_VALUES,
@@ -30,6 +28,7 @@ from yieldcast.errors import (
     InvalidData,
     ShapeError,
 )
+from yieldcast.ingest import parse_cckp_csv, parse_fao_csv
 
 
 def make_row(iso3="AFG", country="Afghanistan", year=2000, item="Maize",
@@ -44,28 +43,41 @@ def make_table(*rows) -> PanelTable:
     return PanelTable(keys=keys, country=countries, values=values)
 
 
+def climate_errors(row: str) -> list[tuple[int, str]]:
+    """(line, message) of each RowError parse_cckp_csv reports for one data row."""
+    result = parse_cckp_csv(f"Year,Country,ISO3,v\n{row}\n", "precipitation")
+    return [(e.line, e.message) for e in result.row_errors]
+
+
+def fao_errors(row: str) -> list[tuple[int, str]]:
+    """(line, message) of each RowError parse_fao_csv reports for one data row."""
+    return [(e.line, e.message)
+            for e in parse_fao_csv(f"Area,Item,Year,Unit,Value\n{row}\n").row_errors]
+
+
 class TestRecords:
+    """The rules each parsed climate or FAO row must meet, and their messages."""
+
     def test_climate_record_accepts_valid(self):
-        rec = ClimateRecord(year=1901, country="Kenya", iso3="KEN", value=750.25)
-        assert (rec.year, rec.iso3, rec.value) == (1901, "KEN", 750.25)
+        rows = parse_cckp_csv("Year,Country,ISO3,v\n1901,Kenya,KEN,750.25\n",
+                              "precipitation").records
+        assert (rows.year.tolist(), rows.iso3, rows.value.tolist()) == ([1901], ["KEN"], [750.25])
 
     @pytest.mark.parametrize("iso3", ["ke", "KENY", "K3N", "ken"])
     def test_climate_record_rejects_bad_iso3(self, iso3):
-        with pytest.raises(ValueError):
-            ClimateRecord(year=2000, country="Kenya", iso3=iso3, value=1.0)
+        assert climate_errors(f"2000,Kenya,{iso3},1.0") == [(2, f"bad ISO3 code: {iso3!r}")]
 
     @pytest.mark.parametrize("year", [1900, 2101, -5])
     def test_climate_record_rejects_out_of_range_year(self, year):
-        with pytest.raises(ValueError):
-            ClimateRecord(year=year, country="Kenya", iso3="KEN", value=1.0)
+        assert climate_errors(f"{year},Kenya,KEN,1.0") == [
+            (2, f"year {year} outside [1901, 2100]")
+        ]
 
     def test_fao_record_rejects_unknown_unit(self):
-        with pytest.raises(ValueError):
-            FaoRecord(area="Kenya", item="Maize", year=2000, unit="kg/ha", value=1.0)
+        assert fao_errors("Kenya,Maize,2000,kg/ha,1.0") == [(2, "unknown unit: 'kg/ha'")]
 
     def test_fao_record_rejects_negative_value(self):
-        with pytest.raises(ValueError):
-            FaoRecord(area="Kenya", item="Maize", year=2000, unit="hg/ha", value=-1.0)
+        assert fao_errors("Kenya,Maize,2000,hg/ha,-1.0") == [(2, "negative value: -1.0")]
 
 
 class TestPanelTable:

@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from yieldcast.core import ClimateRecord, FaoRecord
 from yieldcast.errors import (
     ConstantFeature,
     EmptyInput,
@@ -22,33 +21,35 @@ from yieldcast.explore import (
     pearson_corr_matrix,
     vif,
 )
+from yieldcast.ingest import parse_cckp_csv, parse_fao_csv
 
 
-def climate(year, value, iso3="KEN"):
-    return ClimateRecord(year=year, country="x".title(), iso3=iso3, value=value)
+def climate(*rows: str):
+    """The columns parse_cckp_csv makes of these Year,Country,ISO3,value rows."""
+    return parse_cckp_csv("Year,Country,ISO3,v\n" + "\n".join(rows), "precipitation").records
+
+
+def fao(*rows: str):
+    """The columns parse_fao_csv makes of these Area,Item,Year,Unit,Value rows."""
+    return parse_fao_csv("Area,Item,Year,Unit,Value\n" + "\n".join(rows)).records
 
 
 class TestAnnualMean:
     def test_means_per_year_sorted_ascending(self):
-        records = [
-            climate(2001, 10.0), climate(2000, 1.0),
-            climate(2001, 20.0, iso3="AFG"), climate(2000, 3.0, iso3="AFG"),
-        ]
-        series = annual_mean(records, "rain_mm")
+        rows = climate("2001,Kenya,KEN,10", "2000,Kenya,KEN,1",
+                       "2001,Afghanistan,AFG,20", "2000,Afghanistan,AFG,3")
+        series = annual_mean(rows, "rain_mm")
         assert series.label == "rain_mm"
         assert series.years == (2000, 2001)
         assert series.values == (2.0, 15.0)
 
     def test_works_for_fao_records_too(self):
-        records = [
-            FaoRecord(area="Kenya", item="P", year=2000, unit="tonnes", value=4.0),
-            FaoRecord(area="Kenya", item="P", year=2000, unit="tonnes", value=6.0),
-        ]
-        assert annual_mean(records, "pesticides_tonnes").values == (5.0,)
+        rows = fao("Kenya,P,2000,tonnes,4", "Kenya,P,2000,tonnes,6")
+        assert annual_mean(rows, "pesticides_tonnes").values == (5.0,)
 
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
-            annual_mean([], "rain_mm")
+            annual_mean(climate(), "rain_mm")
 
     def test_series_validation(self):
         with pytest.raises(ShapeError):
@@ -59,16 +60,14 @@ class TestAnnualMean:
 
 class TestItemFrequency:
     def test_sorted_by_count_then_name(self):
-        records = [
-            FaoRecord(area="A", item=item, year=2000, unit="hg/ha", value=1.0)
-            for item in ["Wheat", "Maize", "Wheat", "Cassava", "Maize"]
-        ]
-        assert item_frequency(records) == [
+        rows = fao(*(f"A,{item},2000,hg/ha,1" for item in
+                     ["Wheat", "Maize", "Wheat", "Cassava", "Maize"]))
+        assert item_frequency(rows) == [
             ("Maize", 2), ("Wheat", 2), ("Cassava", 1),
         ]
 
     def test_empty_is_empty(self):
-        assert item_frequency([]) == []
+        assert item_frequency(fao()) == []
 
 
 class TestPearson:

@@ -1,21 +1,24 @@
 """CSV parsing, country-name normalization, and the four-way panel merge."""
 from __future__ import annotations
 
-import dataclasses
 import json
-import pickle
+from array import array
+from dataclasses import asdict
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ingest_oracles as oracle
 import synth
 from conftest import parse_snapshot
-from yieldcast.core import PANEL_VALUES, ClimateRecord, FaoRecord
+from yieldcast.core import PANEL_VALUES
 from yieldcast.errors import EmptyJoin, FormatError, InvalidConfig, YieldcastError
 from yieldcast.ingest import (
     PESTICIDE_ITEM,
+    ClimateColumns,
     CountryAliasMap,
+    FaoColumns,
     merge_panel,
     normalize_country,
     parse_cckp_csv,
@@ -41,9 +44,9 @@ class TestParseCckp:
             "precipitation",
         )
         assert result.row_errors == () and result.warnings == ()
-        assert result.records == (
-            ClimateRecord(year=2000, country="Kenya", iso3="KEN", value=630.5),
-            ClimateRecord(year=2001, country="Kenya", iso3="KEN", value=702.25),
+        assert result.records == ClimateColumns(
+            year=array("l", [2000, 2001]), country=["Kenya", "Kenya"],
+            iso3=["KEN", "KEN"], value=array("d", [630.5, 702.25]),
         )
 
     def test_value_column_selected_by_position(self):
@@ -51,7 +54,7 @@ class TestParseCckp:
             "Year,Country,ISO3,Annual Mean Temp\n2000,Kenya,KEN,24.5\n",
             "temperature",
         )
-        assert result.records[0].value == 24.5
+        assert result.records.value.tolist() == [24.5]
 
     def test_bom_and_bytes_accepted(self):
         data = "﻿Year,Country,ISO3,v\n2000,Kenya,KEN,1.0\n".encode("utf-8")
@@ -82,12 +85,12 @@ class TestParseCckp:
             "2003,Kenya,KEN,2.5\n",
             "precipitation",
         )
-        assert [r.year for r in result.records] == [2000, 2003]
+        assert result.records.year.tolist() == [2000, 2003]
         assert [e.line for e in result.row_errors] == [3, 4, 5]
 
     def test_header_only_warns(self):
         result = parse_cckp_csv("Year,Country,ISO3,v\n", "temperature")
-        assert result.records == () and len(result.warnings) == 1
+        assert len(result.records) == 0 and len(result.warnings) == 1
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value_is_row_error(self, cell):
@@ -95,7 +98,7 @@ class TestParseCckp:
             f"Year,Country,ISO3,v\n2000,Kenya,KEN,{cell}\n2001,Kenya,KEN,2.5\n",
             "precipitation",
         )
-        assert [r.year for r in result.records] == [2001]
+        assert result.records.year.tolist() == [2001]
         assert [(e.line, e.message) for e in result.row_errors] == [
             (2, f"non-finite value: {float(cell)}")
         ]
@@ -108,9 +111,9 @@ class TestParseFao:
             'Kenya,"Rice, paddy",2000,hg/ha,42000\n'
             "Kenya,Pesticides (total),2000,tonnes,125.5\n"
         )
-        assert result.records == (
-            FaoRecord(area="Kenya", item="Rice, paddy", year=2000, unit="hg/ha", value=42000.0),
-            FaoRecord(area="Kenya", item="Pesticides (total)", year=2000, unit="tonnes", value=125.5),
+        assert result.records == FaoColumns(
+            area=["Kenya", "Kenya"], item=["Rice, paddy", "Pesticides (total)"],
+            year=[2000, 2000], unit=["hg/ha", "tonnes"], value=array("d", [42000.0, 125.5]),
         )
 
     def test_bad_header(self):
@@ -125,8 +128,12 @@ class TestParseFao:
             "Kenya,Maize,2000,hg/ha,abc\n"  # non-numeric
             "Kenya,Maize,2000,hg/ha,7\n"
         )
-        assert [r.value for r in result.records] == [7.0]
-        assert [e.line for e in result.row_errors] == [2, 3, 4]
+        assert result.records.value.tolist() == [7.0]
+        assert [(e.line, e.message) for e in result.row_errors] == [
+            (2, "unknown unit: 'kg/ha'"),
+            (3, "negative value: -5.0"),
+            (4, "could not convert string to float: 'abc'"),
+        ]
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_row_error(self, cell):
@@ -136,16 +143,15 @@ class TestParseFao:
             f"Kenya,Pesticides (total),2000,tonnes,{cell}\n"
             "Kenya,Maize,2001,hg/ha,7\n"
         )
-        assert [r.value for r in result.records] == [7.0]
-        assert [e.line for e in result.row_errors] == [2, 3]
-        assert all("non-finite" in e.message for e in result.row_errors)
+        assert result.records.value.tolist() == [7.0]
+        message = f"non-finite value: {float(cell)}"
+        assert [(e.line, e.message) for e in result.row_errors] == [(2, message), (3, message)]
 
 
 class TestRecords:
-    """Parsed records are slotted, frozen value objects that share their strings."""
+    """Parsed rows are held as columns that share their strings."""
 
-    @pytest.fixture(scope="class")
-    def parsed(self):
+    def test_equal_strings_are_one_object(self):
         fao = parse_fao_csv(
             "Area,Item,Year,Unit,Value\n"
             "Kenya,Maize,2000,hg/ha,15000\n"
@@ -156,34 +162,22 @@ class TestRecords:
             "Year,Country,ISO3,v\n2000,Kenya,KEN,630.5\n2001, Kenya , KEN ,702.25\n",
             "precipitation",
         ).records
-        return fao, climate
+        assert fao.area[0] is fao.area[1] and fao.unit[0] is fao.unit[1]
+        assert fao.item[0] is fao.item[1] is fao.item[2]
+        assert climate.country[0] is climate.country[1] and climate.iso3[0] is climate.iso3[1]
 
-    def test_records_have_no_instance_dict(self, parsed):
-        for record in (*parsed[0], *parsed[1]):
-            assert not hasattr(record, "__dict__")
-
-    def test_equal_strings_are_one_object(self, parsed):
-        (a, b, c), (x, y) = parsed
-        assert a.area is b.area and a.item is b.item is c.item and a.unit is b.unit
-        assert x.country is y.country and x.iso3 is y.iso3
-
-    def test_fields_stay_frozen(self, parsed):
-        for record, name in ((parsed[0][0], "value"), (parsed[1][0], "iso3")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(record, name, 1.0)
-
-    def test_value_semantics(self, parsed):
-        fao, climate = parsed
-        assert fao[0] == FaoRecord("Kenya", "Maize", 2000, "hg/ha", 15000.0)
-        assert hash(fao[0]) == hash(FaoRecord("Kenya", "Maize", 2000, "hg/ha", 15000.0))
-        assert fao[0] != fao[1] and len({*fao, *fao}) == 3
-        assert dataclasses.replace(fao[0], year=2001, value=16000.0) == fao[1]
-        assert dataclasses.replace(climate[0], year=2001, value=702.25) == climate[1]
-        with pytest.raises(ValueError, match="unknown unit"):
-            dataclasses.replace(fao[0], unit="kg")
-        for record in (*fao, *climate):
-            copy = pickle.loads(pickle.dumps(record))
-            assert copy == record and hash(copy) == hash(record)
+    def test_length_counts_the_parsed_rows(self):
+        fao = parse_fao_csv(
+            "Area,Item,Year,Unit,Value\n"
+            "Kenya,Maize,2000,hg/ha,15000\n"
+            "Kenya,Maize,2001,kg/ha,16000\n"   # refused: not counted
+            "Mexico,Maize,2000,tonnes,7\n"
+        )
+        climate = parse_cckp_csv(
+            "Year,Country,ISO3,v\n2000,Kenya,KEN,630.5\n2001,Kenya\n", "precipitation"
+        )
+        assert (len(fao.records), len(fao.row_errors)) == (2, 1)
+        assert (len(climate.records), len(climate.row_errors)) == (1, 1)
 
 
 HEADERS = {
@@ -232,7 +226,7 @@ class TestSharedReader:
             '"Kenya\nwest",Maize,2000,hg/ha,7\n'
             "Kenya,Maize,2001,kg/ha,7\n"
         )
-        assert result.records[0].area == "Kenya\nwest"
+        assert result.records.area == ["Kenya\nwest"]
         assert [e.line for e in result.row_errors] == [4]
 
     @pytest.mark.parametrize("dialect", sorted(PARSERS))
@@ -287,30 +281,35 @@ class TestAliasMap:
             assert normalize_country(name, aliases) == (name, iso3)
 
 
-def climate(iso3, year, value):
-    return ClimateRecord(year=year, country=iso3.title(), iso3=iso3, value=value)
+def climate(*rows: str) -> ClimateColumns:
+    """The columns parse_cckp_csv makes of these Year,Country,ISO3,value rows."""
+    return parse_cckp_csv("Year,Country,ISO3,v\n" + "\n".join(rows), "precipitation").records
+
+
+def fao(*rows: str) -> FaoColumns:
+    """The columns parse_fao_csv makes of these Area,Item,Year,Unit,Value rows."""
+    return parse_fao_csv("Area,Item,Year,Unit,Value\n" + "\n".join(rows)).records
 
 
 class TestMergePanel:
-    def make_inputs(self):
-        rain = [climate("KEN", 2000, 600.0), climate("KEN", 2001, 650.0),
-                climate("AFG", 2000, 300.0)]
-        temp = [climate("KEN", 2000, 24.0), climate("KEN", 2001, 24.5),
-                climate("AFG", 2000, 12.0)]
-        pesticides = [
-            FaoRecord(area="Kenya", item=PESTICIDE_ITEM, year=2000, unit="tonnes", value=100.0),
-            FaoRecord(area="Kenya", item=PESTICIDE_ITEM, year=2001, unit="tonnes", value=110.0),
-            FaoRecord(area="Kenya", item="Herbicides", year=2000, unit="tonnes", value=5.0),
-        ]
-        yields = [
-            FaoRecord(area="Kenya", item="Maize", year=2000, unit="hg/ha", value=15000.0),
-            FaoRecord(area="Kenya", item="Maize", year=2000, unit="hg/ha", value=16000.0),  # dup key
-            FaoRecord(area="Kenya", item="Wheat", year=2001, unit="hg/ha", value=18000.0),
-            FaoRecord(area="Kenya", item="Maize", year=1999, unit="hg/ha", value=14000.0),  # no climate
-            FaoRecord(area="Afghanistan", item="Maize", year=2000, unit="hg/ha", value=9000.0),  # no pesticides
-            FaoRecord(area="Narnia", item="Maize", year=2000, unit="hg/ha", value=1.0),  # unmatched
-            FaoRecord(area="Kenya", item="Maize", year=2000, unit="tonnes", value=2.0),  # wrong unit
-        ]
+    def make_inputs(self, *extra_rain: str):
+        rain = climate("2000,Kenya,KEN,600", "2001,Kenya,KEN,650", "2000,Afghanistan,AFG,300",
+                       *extra_rain)
+        temp = climate("2000,Kenya,KEN,24", "2001,Kenya,KEN,24.5", "2000,Afghanistan,AFG,12")
+        pesticides = fao(
+            f"Kenya,{PESTICIDE_ITEM},2000,tonnes,100",
+            f"Kenya,{PESTICIDE_ITEM},2001,tonnes,110",
+            "Kenya,Herbicides,2000,tonnes,5",
+        )
+        yields = fao(
+            "Kenya,Maize,2000,hg/ha,15000",
+            "Kenya,Maize,2000,hg/ha,16000",  # dup key
+            "Kenya,Wheat,2001,hg/ha,18000",
+            "Kenya,Maize,1999,hg/ha,14000",  # no climate
+            "Afghanistan,Maize,2000,hg/ha,9000",  # no pesticides
+            "Narnia,Maize,2000,hg/ha,1",  # unmatched
+            "Kenya,Maize,2000,tonnes,2",  # wrong unit
+        )
         return rain, temp, pesticides, yields
 
     def test_merge_accounting_is_exact(self):
@@ -340,19 +339,15 @@ class TestMergePanel:
         assert "rows out: 2" in text and "Narnia" in text
 
     def test_climate_duplicates_counted_keep_last(self):
-        rain, temp, pesticides, yields = self.make_inputs()
-        rain.append(climate("KEN", 2000, 999.0))
-        table, report = merge_panel(rain, temp, pesticides, yields, ALIASES)
+        table, report = merge_panel(*self.make_inputs("2000,Kenya,KEN,999"), ALIASES)
         assert report.duplicate_rows["rain"] == 1
         assert table.values[0, PANEL_VALUES.index("rain_mm")] == 999.0
 
     def test_empty_join_raises(self):
-        rain = [climate("KEN", 1990, 1.0)]
-        temp = [climate("KEN", 1990, 2.0)]
-        pesticides = [FaoRecord(area="Kenya", item=PESTICIDE_ITEM, year=1990,
-                                unit="tonnes", value=1.0)]
-        yields = [FaoRecord(area="Kenya", item="Maize", year=2050,
-                            unit="hg/ha", value=1.0)]
+        rain = climate("1990,Kenya,KEN,1")
+        temp = climate("1990,Kenya,KEN,2")
+        pesticides = fao(f"Kenya,{PESTICIDE_ITEM},1990,tonnes,1")
+        yields = fao("Kenya,Maize,2050,hg/ha,1")
         with pytest.raises(EmptyJoin):
             merge_panel(rain, temp, pesticides, yields, ALIASES)
 
@@ -390,3 +385,115 @@ class TestMergeOnSnapshot:
             + report.duplicate_rows.get("yields", 0)
         )
         assert accounted == report.rows_in["yields"]
+
+
+# Cells that mix valid values with every case a row rule refuses; a cell
+# holding a comma is written in quotes.
+YEARS = st.sampled_from(["1999", "2000", "2001", " 2000 ", "1900", "2101", "-5", "20x0", ""])
+VALUES = st.sampled_from(
+    ["0", "1.5", "300", " 2.5 ", "-5", "-0.0", "nan", "inf", "-inf", "1e999", "abc", ""]
+)
+AREAS = st.sampled_from(["Kenya", " Kenya ", "Republic of Kenya", "Afghanistan", "Mexico",
+                         "Narnia", "Kenya, west"])
+CLIMATE_ROW = st.tuples(
+    YEARS,
+    st.sampled_from(["Kenya", " Kenya ", "Kenya, west", "Afghanistan"]),
+    st.sampled_from(["KEN", " KEN ", "AFG", "MEX", "ke", "K3N", "KENY", ""]),
+    VALUES,
+)
+FAO_ROW = st.tuples(
+    AREAS,
+    st.sampled_from(["Maize", " Maize ", "Rice, paddy", PESTICIDE_ITEM, "Herbicides"]),
+    YEARS,
+    st.sampled_from(["hg/ha", "tonnes", " tonnes ", "kg/ha", ""]),
+    VALUES,
+)
+# rows that every rule keeps, over few enough country-years that merges join
+# some of them, repeat some keys and leave some unmatched
+JOIN_YEARS = st.sampled_from(["2000", "2001"])
+KEPT_VALUES = st.sampled_from(["0", "1.5", "300", "42000.25"])
+KEPT = {
+    "climate": st.tuples(JOIN_YEARS, st.just("Kenya"), st.sampled_from(["KEN", "AFG"]),
+                         KEPT_VALUES),
+    "pesticides": st.tuples(AREAS, st.just(PESTICIDE_ITEM), JOIN_YEARS, st.just("tonnes"),
+                            KEPT_VALUES),
+    "yields": st.tuples(AREAS, st.sampled_from(["Maize", "Rice, paddy"]), JOIN_YEARS,
+                        st.just("hg/ha"), KEPT_VALUES),
+}
+
+
+def csv_text(header: str, rows: st.SearchStrategy, kept: st.SearchStrategy) -> st.SearchStrategy:
+    """CSV text: the header, then lines that are blank, or short, full or long
+    rows; about half of them kept rows."""
+    line = st.one_of(
+        kept.map(list),
+        kept.map(list),
+        kept.map(list),
+        st.just([""]),
+        st.tuples(rows, st.integers(0, 5)).map(lambda r: list(r[0][: r[1]] or [""])),
+        rows.map(list),
+        rows.map(lambda r: [*r, "extra"]),
+    )
+    body = st.lists(line, min_size=4, max_size=16).map(lambda lines: "\n".join(
+        ",".join(f'"{c}"' if "," in c else c for c in cells) for cells in lines
+    ))
+    return body.map(lambda body: f"{header}\n{body}\n")
+
+
+CLIMATE_FIELDS = ("year", "country", "iso3", "value")
+FAO_FIELDS = ("area", "item", "year", "unit", "value")
+
+
+def assert_same_parse(result, reference, fields):
+    got = {name: list(getattr(result.records, name)) for name in fields}
+    assert got == oracle.columns(reference.records, fields)
+    assert len(result.records) == len(reference.records)
+    assert [(e.line, e.message) for e in result.row_errors] == [
+        (e.line, e.message) for e in reference.row_errors
+    ]
+    assert result.warnings == reference.warnings
+
+
+class TestAgainstRecordOracle:
+    """The column parsers and merge agree with the record-based references
+    in tests/ingest_oracles.py on rows that mix every row rule."""
+
+    @settings(max_examples=200)
+    @given(text=csv_text("Year,Country,ISO3,Rainfall", CLIMATE_ROW, KEPT["climate"]))
+    def test_climate_parse(self, text):
+        assert_same_parse(parse_cckp_csv(text, "precipitation"), oracle.parse_cckp_csv(text),
+                          CLIMATE_FIELDS)
+
+    @settings(max_examples=200)
+    @given(text=csv_text("Area,Item,Year,Unit,Value", FAO_ROW, KEPT["yields"]))
+    def test_fao_parse(self, text):
+        assert_same_parse(parse_fao_csv(text), oracle.parse_fao_csv(text), FAO_FIELDS)
+
+    @settings(max_examples=200)
+    @given(
+        rain=csv_text("Year,Country,ISO3,v", CLIMATE_ROW, KEPT["climate"]),
+        temp=csv_text("Year,Country,ISO3,v", CLIMATE_ROW, KEPT["climate"]),
+        pesticides=csv_text("Area,Item,Year,Unit,Value", FAO_ROW, KEPT["pesticides"]),
+        yields=csv_text("Area,Item,Year,Unit,Value", FAO_ROW, KEPT["yields"]),
+    )
+    def test_merge(self, rain, temp, pesticides, yields):
+        inputs = [(rain, "cckp"), (temp, "cckp"), (pesticides, "fao"), (yields, "fao")]
+        columns = [PARSERS[kind](text).records for text, kind in inputs]
+        records = [
+            (oracle.parse_cckp_csv if kind == "cckp" else oracle.parse_fao_csv)(text).records
+            for text, kind in inputs
+        ]
+        digests = {"rain": "abc123"}
+        try:
+            table, report = merge_panel(*columns, ALIASES, source_digests=digests)
+        except EmptyJoin as exc:
+            with pytest.raises(EmptyJoin) as ref:
+                oracle.merge_panel(*records, ALIASES, source_digests=digests)
+            assert str(ref.value) == str(exc)
+            return
+        ref_table, ref_report = oracle.merge_panel(*records, ALIASES, source_digests=digests)
+        assert table.keys == ref_table.keys
+        assert table.country == ref_table.country
+        assert table.values.tobytes() == ref_table.values.tobytes()
+        assert table.provenance == ref_table.provenance
+        assert asdict(report) == asdict(ref_report)
