@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import pairwise
-from typing import Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -226,11 +226,16 @@ def _two_sum(a, b, total, err, tmp) -> None:
     np.add(tmp, err, out=err)
 
 
-def fsum_columns(stack: np.ndarray) -> np.ndarray:
-    """Correctly rounded sum of each column of a (members x columns) stack,
-    equal bit for bit to math.fsum of the column, so member order cannot
-    change bits. Finite members whose sum passes the float range raise
-    InvalidData; +inf and -inf in one column raise fsum's ValueError.
+def fsum_rows(
+    rows: Iterable[np.ndarray], n: int, columns: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    """Correctly rounded sum of each of n columns whose members come one row
+    at a time, equal bit for bit to math.fsum of the column, so member order
+    cannot change bits. `rows` yields each member's n values, and may
+    overwrite them once asked for the next member; `columns(idx)` gives the
+    (members x len(idx)) member values of just the columns idx, for those
+    this pass cannot certify. Finite members whose sum passes the float range
+    raise InvalidData; +inf and -inf in one column raise fsum's ValueError.
 
     One pass over the m members with whole-row vector ops (Ogita, Rump and
     Oishi, "Accurate sum and dot product", 2005), u = 2^-53: TwoSum gives
@@ -253,16 +258,19 @@ def fsum_columns(stack: np.ndarray) -> np.ndarray:
     Both cases also need A = fl(sum |a|) < 2^1021, so the exact sum of |a|
     is below 2^1022: neither this pass nor fsum's partials can then
     overflow, and a NaN or inf member fails it, as NaN fails every test.
-    The other columns, and only they, go to math.fsum.
+    The other columns, and only they, go to math.fsum. The pass holds a few
+    rows of n floats, whatever m is.
     """
-    stack = np.ascontiguousarray(stack, dtype=float)
-    m, n = stack.shape
-    if m == 0:
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
         return np.zeros(n)
-    s, e, e2, a_sum = stack[0].copy(), np.zeros(n), np.zeros(n), np.abs(stack[0])
+    s, e, e2, a_sum = np.array(first, dtype=float), np.zeros(n), np.zeros(n), np.abs(first)
     x, q, tmp = np.empty(n), np.empty(n), np.empty(n)
+    m = 1
     with np.errstate(over="ignore", invalid="ignore"):  # such columns are not certified
-        for a in stack[1:]:
+        for a in rows:
+            m += 1
             _two_sum(s, a, x, q, tmp)
             s, x = x, s
             _two_sum(e, q, x, q, tmp)
@@ -283,10 +291,17 @@ def fsum_columns(stack: np.ndarray) -> np.ndarray:
     try:
         for i in range(0, len(rest), step):
             cols = rest[i : i + step]
-            out[cols] = [math.fsum(c) for c in stack[:, cols].T.tolist()]
+            out[cols] = [math.fsum(c) for c in columns(cols).T.tolist()]
     except OverflowError as exc:  # finite members whose sum passes the float range
         raise InvalidData("member predictions sum past the float range") from exc
     return out
+
+
+def fsum_columns(stack: np.ndarray) -> np.ndarray:
+    """fsum_rows of the rows of a (members x columns) stack: each column's
+    math.fsum, bit for bit."""
+    stack = np.ascontiguousarray(stack, dtype=float)
+    return fsum_rows(stack, stack.shape[1], lambda cols: stack[:, cols])
 
 
 def train_test_split(
@@ -322,5 +337,6 @@ __all__ = [
     "fit_scaler",
     "apply_scaler",
     "fsum_columns",
+    "fsum_rows",
     "train_test_split",
 ]

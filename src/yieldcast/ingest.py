@@ -55,12 +55,11 @@ class ClimateColumns:
 @dataclass(frozen=True)
 class FaoColumns:
     """Kept FAO rows as columns, in file order: row i is (area[i], item[i],
-    year[i], unit[i], value[i]). A year holds any int, as FAO years are not
-    range-checked."""
+    year[i], unit[i], value[i])."""
 
     area: list[str] = field(default_factory=list)
     item: list[str] = field(default_factory=list)
-    year: list[int] = field(default_factory=list)
+    year: array = field(default_factory=lambda: array("l"))
     unit: list[str] = field(default_factory=list)
     value: array = field(default_factory=lambda: array("d"))
 
@@ -70,7 +69,10 @@ class FaoColumns:
     def where(self, keep: Sequence[bool]) -> "FaoColumns":
         """The rows whose entry in keep is true, in order."""
         return FaoColumns(
-            *(list(compress(c, keep)) for c in (self.area, self.item, self.year, self.unit)),
+            list(compress(self.area, keep)),
+            list(compress(self.item, keep)),
+            array("l", compress(self.year, keep)),
+            list(compress(self.unit, keep)),
             array("d", compress(self.value, keep)),
         )
 
@@ -123,6 +125,17 @@ def _data_rows(data, layout: str) -> Iterator[tuple[int, list[str]]]:
     return rows
 
 
+def _check_year(year: int, cell: str) -> None:
+    """Refuse a year outside [1901, 2100], and one that int read from other
+    than ASCII digits and surrounding whitespace, such as '2_000', '+2000'
+    or Arabic-Indic digits."""
+    if not 1901 <= year <= 2100:
+        raise ValueError(f"year {year} outside [1901, 2100]")
+    digits = cell.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"year {cell!r} is not plain ASCII digits")
+
+
 def _result(columns: ClimateColumns | FaoColumns, errors: list[RowError]) -> ParseResult:
     warnings = () if columns or errors else ("no data rows after header",)
     return ParseResult(columns, tuple(errors), warnings)
@@ -135,9 +148,9 @@ def parse_cckp_csv(data, variable_kind: str) -> ParseResult:
     The fourth column's header name varies between exports, so it is selected
     by position. A row is refused, as a RowError naming its line, when it has
     fewer than 4 cells, a non-numeric year or value, a malformed ISO3 code
-    (three upper-case letters), a year outside [1901, 2100] or a non-finite
-    value, checked in that order. Rows that name the same country or ISO3
-    code share one string object.
+    (three upper-case letters), a year outside [1901, 2100] or not written in
+    plain ASCII digits, or a non-finite value, checked in that order. Rows
+    that name the same country or ISO3 code share one string object.
     """
     if variable_kind not in ("precipitation", "temperature"):
         raise InvalidConfig(f"unknown variable kind: {variable_kind!r}")
@@ -157,8 +170,7 @@ def parse_cckp_csv(data, variable_kind: str) -> ParseResult:
             )
             if not (len(iso3) == 3 and iso3.isalpha() and iso3.isupper()):
                 raise ValueError(f"bad ISO3 code: {iso3!r}")
-            if not 1901 <= year <= 2100:
-                raise ValueError(f"year {year} outside [1901, 2100]")
+            _check_year(year, row[0])
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value: {value}")
         except ValueError as exc:
@@ -175,8 +187,9 @@ def parse_fao_csv(data) -> ParseResult:
     """Parse an Area,Item,Year,Unit,Value CSV into FaoColumns.
 
     A row is refused, as a RowError naming its line, when it has fewer than
-    5 cells, a non-numeric year or value, a unit outside {hg/ha, tonnes},
-    or a non-finite or negative value, checked in that order. Rows that name
+    5 cells, a non-numeric year or value, a unit outside {hg/ha, tonnes}, a
+    year outside [1901, 2100] or not written in plain ASCII digits, or a
+    non-finite or negative value, checked in that order. Rows that name
     the same area, item or unit share one string object.
     """
     rows = _data_rows(data, "Area,Item,Year,Unit,Value")
@@ -196,6 +209,7 @@ def parse_fao_csv(data) -> ParseResult:
             )
             if unit not in ("hg/ha", "tonnes"):
                 raise ValueError(f"unknown unit: {unit!r}")
+            _check_year(year, row[2])
             if not math.isfinite(value):
                 raise ValueError(f"non-finite value: {value}")
             if value < 0:

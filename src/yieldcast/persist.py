@@ -27,7 +27,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import partial
 from itertools import chain, groupby, repeat
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -137,6 +137,11 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
             _emit(obj[k], depth + 1, parts)
             parts.append(",\n" if i < len(keys) - 1 else "\n")
         parts.append(pad + "}")
+    elif isinstance(obj, _Rows):  # a NamedTuple, so ahead of the list case
+        if obj.count:
+            _emit_rows([obj], depth, parts)
+        else:
+            parts.append("[]")
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         items = obj.tolist() if isinstance(obj, np.ndarray) else obj
         if not items:
@@ -154,7 +159,7 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
             parts.append(f"\n{pad}]")
             return
         if {list, tuple}.issuperset(map(type, items)) and all(items):
-            _emit_rows(items, depth, parts)
+            _emit_rows(_row_runs(items), depth, parts)
             return
         parts.append("[\n")
         for i, item in enumerate(items):
@@ -211,43 +216,65 @@ def _column_specs(column: tuple, strings: _Memo) -> Optional[tuple[Any, Sequence
     return None
 
 
-def _rows_text(rows: Sequence, row_sep: str, strings: _Memo, templates: _Memo) -> Optional[str]:
-    """The cells of rows of one length, row after row, rendered by one %
-    operation; None when a cell is no plain scalar. A row's template is
-    templates[its cells' specs], and rows are joined by row_sep."""
-    columns = [_column_specs(column, strings) for column in zip(*rows)]
-    if None in columns:
+def _rows_text(columns: Sequence[Sequence], row_sep: str, strings: _Memo,
+               templates: _Memo) -> Optional[str]:
+    """The cells of rows given as columns of one length, row after row,
+    rendered by one % operation; None when a cell is no plain scalar. A
+    row's template is templates[its cells' specs], and rows are joined by
+    row_sep."""
+    specs_args = [_column_specs(column, strings) for column in columns]
+    if None in specs_args:
         return None
-    specs = (repeat(s, len(rows)) if type(s) is str else s for s, _ in columns)
+    count = len(columns[0])
+    specs = (repeat(s, count) if type(s) is str else s for s, _ in specs_args)
     template = row_sep.join(map(templates.__getitem__, zip(*specs)))
-    return template % tuple(chain.from_iterable(zip(*(args for _, args in columns))))
+    return template % tuple(chain.from_iterable(zip(*(args for _, args in specs_args))))
 
 
-def _emit_rows(rows: Sequence, depth: int, parts: _Parts) -> None:
-    """Write a list of non-empty lists and tuples as _emit writes any list,
-    a chunk of rows of one length and about _CHUNK_PARTS cells at a time
-    (_rows_text). A chunk that _rows_text cannot render, and a row over
-    _CHUNK_PARTS cells, are written item by item."""
+class _Rows(NamedTuple):
+    """A list of `count` rows of `width` cells, held as columns: _emit
+    writes it as the list of lists, rendering rows start to stop from
+    columns(start, stop), one sequence of cells per column."""
+
+    count: int
+    width: int
+    columns: Callable[[int, int], Sequence[Sequence]]
+
+
+def _row_runs(rows: Sequence) -> Iterator[_Rows]:
+    """A list of non-empty lists and tuples as its runs of rows of one width."""
+    start = 0
+    for width, run in groupby(map(len, rows)):
+        count = sum(1 for _ in run)
+        yield _Rows(count, width, lambda a, b, at=start: list(zip(*rows[at + a:at + b])))
+        start += count
+
+
+def _emit_rows(runs: Iterable[_Rows], depth: int, parts: _Parts) -> None:
+    """Write runs of rows, one after another, as _emit writes one list of
+    lists: a chunk of about _CHUNK_PARTS cells at a time, rendered from its
+    columns (_rows_text). A chunk that _rows_text cannot render, and a row
+    over _CHUNK_PARTS cells, are written item by item."""
     pad, inner, cell_pad = ("  " * (depth + i) for i in range(3))
     row_sep = f"\n{inner}],\n{inner}[\n{cell_pad}"
     strings = _Memo(_SCALAR_TEXT[str])
     templates = _Memo(f",\n{cell_pad}".join)  # a row's template, by its cells' specs
-    start = 0
-    for width, run in groupby(map(len, rows)):
-        stop = start + sum(1 for _ in run)
-        step = max(1, _CHUNK_PARTS // width)
-        for first in range(start, stop, step):
-            chunk = rows[first:min(first + step, stop)]
-            lead = f",\n{inner}" if first else f"[\n{inner}"
-            text = None if width > _CHUNK_PARTS else _rows_text(chunk, row_sep, strings, templates)
+    lead = f"[\n{inner}"
+    for run in runs:
+        step = max(1, _CHUNK_PARTS // run.width)
+        for first in range(0, run.count, step):
+            columns = run.columns(first, min(first + step, run.count))
+            text = None if run.width > _CHUNK_PARTS else _rows_text(
+                columns, row_sep, strings, templates)
             if text is None:
-                for i, row in enumerate(chunk):
-                    parts.append(lead if i == 0 else f",\n{inner}")
+                for row in zip(*columns):
+                    parts.append(lead)
                     _emit(row, depth + 1, parts)
+                    lead = f",\n{inner}"
                 continue
             parts += (f"{lead}[\n{cell_pad}", text, f"\n{inner}]")
             parts.flush()
-        start = stop
+            lead = f",\n{inner}"
     parts.append(f"\n{pad}]")
 
 
@@ -554,8 +581,15 @@ def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
 
 
 def save_panel(table: PanelTable, path: str | Path) -> None:
-    columns = zip(table.keys, table.country, table.values.tolist())
-    rows = [[iso3, country, year, item, *v] for (iso3, year, item), country, v in columns]
+    """Write the panel document, its rows rendered a chunk at a time straight
+    from the table's columns."""
+
+    def columns(start: int, stop: int) -> list[Sequence]:
+        iso3, year, item = zip(*table.keys[start:stop])
+        return [iso3, table.country[start:stop], year, item,
+                *table.values[start:stop].T.tolist()]
+
+    rows = _Rows(len(table), len(PANEL_COLUMNS), columns)
     write_json(
         {
             "format_version": FORMAT_VERSION,

@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import fsum_columns
+from .core import fsum_rows
 from .errors import InvalidData
 
 # (tree, row, sampled feature) keys one forest block grows together; bounds per-level memory
@@ -435,14 +435,29 @@ def predict_tree_batch(t: Tree, x: np.ndarray) -> np.ndarray:
     return _route(t, _columns(x))
 
 
-def _route_members(members, x: np.ndarray) -> np.ndarray:
-    """Each member tree's predictions of the rows of x: one row each of a
-    (members x rows) matrix, all routed over one column-major copy of x."""
-    cols = _columns(x)
+def _route_members(members, cols: np.ndarray) -> np.ndarray:
+    """Each member tree's predictions of the rows of feature columns `cols`:
+    one row each of a (members x rows) matrix."""
     out = np.empty((len(members), cols.shape[1]))
     for t, row in zip(members, out):
         _route(t, cols, row)
     return out
+
+
+def _member_sum(members, x: np.ndarray) -> np.ndarray:
+    """math.fsum of the member trees' predictions of each row of x. Each
+    member is routed into one reused buffer and folded into the sum
+    (fsum_rows), so memory grows with the rows, whatever the member count;
+    only rows whose sum cannot be certified are routed again, through every
+    member."""
+    cols = _columns(x)
+
+    def routed():
+        out = np.empty(cols.shape[1])
+        for t in members:
+            yield _route(t, cols, out)
+
+    return fsum_rows(routed(), cols.shape[1], lambda rows: _route_members(members, cols[:, rows]))
 
 
 def _tree_rngs(seed: int, count: int) -> list[np.random.Generator]:
@@ -642,7 +657,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
 
 
 def predict_forest_batch(f: Forest, x: np.ndarray) -> np.ndarray:
-    return fsum_columns(_route_members(f.trees, x)) / len(f.trees)
+    return _member_sum(f.trees, x) / len(f.trees)
 
 
 def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmModel:
@@ -663,7 +678,7 @@ def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmMo
 
 
 def predict_gbm_batch(m: GbmModel, x: np.ndarray) -> np.ndarray:
-    return m.init_value + m.learning_rate * fsum_columns(_route_members(m.stages, x))
+    return m.init_value + m.learning_rate * _member_sum(m.stages, x)
 
 
 __all__ = [

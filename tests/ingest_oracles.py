@@ -1,8 +1,9 @@
 """Plain reference versions of the ingest parsers and merge, used as test oracles.
 
 Each CSV row becomes one frozen record, `ClimateRecord` or `FaoRecord`, whose
-`__post_init__` applies the row rules; a row the record refuses is kept as a
-`RowError` carrying the refusal's message. `merge_panel` joins the four
+`__post_init__` applies the row rules (a record keeps its year's cell, for the
+rule that a year is written in plain digits); a row the record refuses is kept
+as a `RowError` carrying the refusal's message. `merge_panel` joins the four
 record lists one record at a time. `yieldcast.ingest` parses straight into
 columns and merges from them, and must agree with these in every column,
 every `RowError`, every warning, the merged `PanelTable` and its
@@ -29,6 +30,14 @@ from yieldcast.ingest import (
 )
 
 
+def check_year(year: int, cell: str) -> None:
+    """A year in [1901, 2100] whose cell is ASCII digits 0-9, blanks around."""
+    if not 1901 <= year <= 2100:
+        raise ValueError(f"year {year} outside [1901, 2100]")
+    if any(c not in "0123456789" for c in cell.strip()):
+        raise ValueError(f"year {cell!r} is not plain ASCII digits")
+
+
 @dataclass(frozen=True, slots=True)
 class ClimateRecord:
     """One country-year reading of rainfall (mm) or temperature (degrees C)."""
@@ -37,12 +46,12 @@ class ClimateRecord:
     country: str
     iso3: str
     value: float
+    year_cell: str
 
     def __post_init__(self):
         if not (len(self.iso3) == 3 and self.iso3.isalpha() and self.iso3.isupper()):
             raise ValueError(f"bad ISO3 code: {self.iso3!r}")
-        if not 1901 <= self.year <= 2100:
-            raise ValueError(f"year {self.year} outside [1901, 2100]")
+        check_year(self.year, self.year_cell)
         if not math.isfinite(self.value):
             raise ValueError(f"non-finite value: {self.value}")
 
@@ -56,10 +65,12 @@ class FaoRecord:
     year: int
     unit: str
     value: float
+    year_cell: str
 
     def __post_init__(self):
         if self.unit not in ("hg/ha", "tonnes"):
             raise ValueError(f"unknown unit: {self.unit!r}")
+        check_year(self.year, self.year_cell)
         if not math.isfinite(self.value):
             raise ValueError(f"non-finite value: {self.value}")
         if self.value < 0:
@@ -96,7 +107,7 @@ def parse_cckp_csv(data) -> ParseResult:
         "Year,Country,ISO3,<value>",
         lambda row: ClimateRecord(
             year=int(row[0]), country=sys.intern(row[1].strip()),
-            iso3=sys.intern(row[2].strip()), value=float(row[3]),
+            iso3=sys.intern(row[2].strip()), value=float(row[3]), year_cell=row[0],
         ),
     )
 
@@ -108,6 +119,7 @@ def parse_fao_csv(data) -> ParseResult:
         lambda row: FaoRecord(
             area=sys.intern(row[0].strip()), item=sys.intern(row[1].strip()),
             year=int(row[2]), unit=sys.intern(row[3].strip()), value=float(row[4]),
+            year_cell=row[2],
         ),
     )
 

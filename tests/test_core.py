@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import math
+from array import array
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yieldcast import core
@@ -19,6 +20,7 @@ from yieldcast.core import (
     build_feature_matrix,
     fit_scaler,
     fsum_columns,
+    fsum_rows,
     train_test_split,
 )
 from yieldcast.errors import (
@@ -29,6 +31,14 @@ from yieldcast.errors import (
     ShapeError,
 )
 from yieldcast.ingest import parse_cckp_csv, parse_fao_csv
+from yieldcast.trees import (
+    Forest,
+    ForestConfig,
+    GbmModel,
+    Tree,
+    predict_forest_batch,
+    predict_gbm_batch,
+)
 
 
 def make_row(iso3="AFG", country="Afghanistan", year=2000, item="Maize",
@@ -72,6 +82,35 @@ class TestRecords:
         assert climate_errors(f"{year},Kenya,KEN,1.0") == [
             (2, f"year {year} outside [1901, 2100]")
         ]
+
+    @pytest.mark.parametrize("cell", ["2_000", "+2000", " +2000", "\u0662\u0660\u0660\u0660"],
+                             ids=["2_000", "+2000", "blank+2000", "arabic-indic"])
+    def test_climate_year_must_be_plain_digits(self, cell):
+        assert climate_errors(f"{cell},Kenya,KEN,1.0") == [
+            (2, f"year {cell!r} is not plain ASCII digits")
+        ]
+
+    @pytest.mark.parametrize("cell, message", [
+        ("99999", "year 99999 outside [1901, 2100]"),
+        ("-5", "year -5 outside [1901, 2100]"),
+        ("1900", "year 1900 outside [1901, 2100]"),
+        ("2_000", "year '2_000' is not plain ASCII digits"),
+        ("+2000", "year '+2000' is not plain ASCII digits"),
+        ("\u0662\u0660\u0660\u0660", "year '\u0662\u0660\u0660\u0660' is not plain ASCII digits"),
+    ], ids=["99999", "-5", "1900", "2_000", "+2000", "arabic-indic"])
+    def test_fao_record_rejects_bad_year(self, cell, message):
+        # the year rule runs after the unit rule and before the value rules
+        assert fao_errors(f"Kenya,Maize,2000,hg/ha,1.0\nKenya,Maize,{cell},hg/ha,1.0") == [
+            (3, message)
+        ]
+        assert fao_errors(f"Kenya,Maize,{cell},kg/ha,-1.0") == [(2, "unknown unit: 'kg/ha'")]
+        assert fao_errors(f"Kenya,Maize,{cell},hg/ha,-1.0") == [(2, message)]
+
+    def test_years_in_plain_digits_with_blanks_are_kept(self):
+        fao = parse_fao_csv("Area,Item,Year,Unit,Value\nKenya,Maize, 2000 ,hg/ha,1.0\n")
+        climate = parse_cckp_csv("Year,Country,ISO3,v\n 1901 ,Kenya,KEN,1.0\n", "temperature")
+        assert (fao.row_errors, fao.records.year) == ((), array("l", [2000]))
+        assert (climate.row_errors, climate.records.year) == ((), array("l", [1901]))
 
     def test_fao_record_rejects_unknown_unit(self):
         assert fao_errors("Kenya,Maize,2000,kg/ha,1.0") == [(2, "unknown unit: 'kg/ha'")]
@@ -335,6 +374,64 @@ def fsum_oracle(stack):
     return np.array(out, dtype=float)
 
 
+def overwritten(stack):
+    """The rows of stack one at a time, through one buffer that is
+    overwritten between members, as the tree routers overwrite theirs."""
+    buffer = np.empty(stack.shape[1])
+    for row in stack:
+        buffer[:] = row
+        yield buffer
+    buffer[:] = np.nan
+
+
+def column_tree(values) -> Tree:
+    """A tree that predicts values[j] for the row [j]: a chain of splits."""
+    nodes = []  # [feature, threshold, left, right, value, n_samples], in preorder
+    for j, v in enumerate(values[:-1]):
+        at = len(nodes)
+        nodes += [[0, j + 0.5, at + 1, at + 2, 0.0, 0], [-1, 0.0, -1, -1, v, 1]]
+    nodes.append([-1, 0.0, -1, -1, values[-1], 1])
+    return Tree.from_records(nodes)
+
+
+def member_sums(stack):
+    """(entry point, its sum of stack's columns, what it gives for the
+    columns' exact sums s): the stack; its rows one at a time; and, when
+    every member is finite, a forest's and a GBM's member trees."""
+    m, n = stack.shape
+    sums = [
+        ("stack", lambda: fsum_columns(stack), lambda s: s),
+        ("rows", lambda: fsum_rows(overwritten(stack), n, lambda cols: stack[:, cols]),
+         lambda s: s),
+    ]
+    if m and np.isfinite(stack).all():
+        trees = tuple(column_tree(row) for row in stack.tolist())
+        x = np.arange(n, dtype=float)[:, None]
+        forest = Forest(trees=trees, config=ForestConfig(n_trees=m))
+        gbm = GbmModel(init_value=0.5, stages=trees, learning_rate=0.25)
+        sums += [
+            ("forest", lambda: predict_forest_batch(forest, x), lambda s: s / m),
+            ("gbm", lambda: predict_gbm_batch(gbm, x), lambda s: 0.5 + 0.25 * s),
+        ]
+    return sums
+
+
+# Member stacks whose middle columns fall back to math.fsum: a sum within an
+# ulp of overflow, and members that cancel to a tiny residue
+FOREST_FALLBACK = np.array([
+    [1.0, BIG, 1.0, 0.5],
+    [2.0, 2.0**969, 2.0**-53, 0.25],
+    [3.0, -(2.0**969), 2.0**-106, 0.125],
+    [4.0, 0.0, -1.0, 0.0625],
+])
+GBM_FALLBACK = np.array([
+    [0.1, 1.0, 2.0**-60, -BIG, 7.0],
+    [0.2, 2.0**-53, 1.0, 2.0**970, 8.0],
+    [0.3, 2.0**-106, -1.0, -(2.0**970), 9.0],
+    [0.4, -1.0, 3.0, 0.0, 10.0],
+])
+
+
 class TestFsumColumns:
     @staticmethod
     def oracle(stack):
@@ -360,13 +457,19 @@ class TestFsumColumns:
 
     @settings(max_examples=400)
     @given(sum_stacks(), st.sampled_from([1, 5, 64, core._FSUM_BLOCK_CELLS]))
+    @example(FOREST_FALLBACK, 1)
+    @example(FOREST_FALLBACK, 5)
+    @example(GBM_FALLBACK, 1)
+    @example(GBM_FALLBACK, 5)
     def test_bits_and_errors_equal_math_fsum(self, stack, cells):
-        # small blocks split the columns math.fsum sums anywhere
+        # small blocks split the columns math.fsum sums anywhere; the trees
+        # route again only the rows whose columns fall back
         expected = fsum_oracle(stack)
-        with mock.patch.object(core, "_FSUM_BLOCK_CELLS", cells):
-            if isinstance(expected, type):
-                with pytest.raises((InvalidData, ValueError)) as err:
-                    fsum_columns(stack)
-                assert type(err.value) is expected
-            else:
-                assert fsum_columns(stack).tobytes() == expected.tobytes()
+        for name, total, of_sums in member_sums(stack):
+            with mock.patch.object(core, "_FSUM_BLOCK_CELLS", cells):
+                if isinstance(expected, type):
+                    with pytest.raises((InvalidData, ValueError)) as err:
+                        total()
+                    assert type(err.value) is expected, name
+                else:
+                    assert total().tobytes() == of_sums(expected).tobytes(), name

@@ -113,7 +113,8 @@ class TestParseFao:
         )
         assert result.records == FaoColumns(
             area=["Kenya", "Kenya"], item=["Rice, paddy", "Pesticides (total)"],
-            year=[2000, 2000], unit=["hg/ha", "tonnes"], value=array("d", [42000.0, 125.5]),
+            year=array("l", [2000, 2000]), unit=["hg/ha", "tonnes"],
+            value=array("d", [42000.0, 125.5]),
         )
 
     def test_bad_header(self):
@@ -389,7 +390,8 @@ class TestMergeOnSnapshot:
 
 # Cells that mix valid values with every case a row rule refuses; a cell
 # holding a comma is written in quotes.
-YEARS = st.sampled_from(["1999", "2000", "2001", " 2000 ", "1900", "2101", "-5", "20x0", ""])
+YEARS = st.sampled_from(["1999", "2000", "2001", " 2000 ", "1900", "2101", "-5", "20x0", "",
+                         "99999", "2_000", "+2000", "\u0662\u0660\u0660\u0660"])
 VALUES = st.sampled_from(
     ["0", "1.5", "300", " 2.5 ", "-5", "-0.0", "nan", "inf", "-inf", "1e999", "abc", ""]
 )

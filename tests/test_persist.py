@@ -23,6 +23,7 @@ import synth
 from tree_oracles import gbm_nodes, nodes
 from yieldcast import persist
 from yieldcast.cli import main
+from yieldcast.core import PANEL_VALUES, PanelTable
 from yieldcast.errors import (
     FormatError,
     InvalidConfig,
@@ -727,6 +728,55 @@ def test_fuzzed_tree_documents_fail_cleanly_or_predict_finite(tmp_path_factory, 
     except ShapeError:  # a tree splits on a column x lacks
         return
     assert np.isfinite(predictions).all()
+
+
+PANEL_NAMES = st.text(alphabet=st.sampled_from('"\\,% aé日\ud800'), min_size=1, max_size=5)
+PANEL_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1e16, 1e17, 1e17 - 16, 2.0**53, 99999999999999984.0]),
+    _integral_floats(10**16 - 1000, 10**16 + 1000),
+    _integral_floats(10**17 - 1000, 10**17 + 1000),
+)
+
+
+@st.composite
+def panel_tables(draw):
+    """A PanelTable whose names hold JSON escapes, % and non-ASCII text, and
+    whose values hold -0.0 and integral floats near 1e16 and 1e17."""
+    keys = sorted(draw(st.lists(
+        st.tuples(st.sampled_from(["AFG", "KEN"]), st.integers(1901, 2100), PANEL_NAMES),
+        unique=True, max_size=30)))
+    country = tuple(draw(PANEL_NAMES) for _ in keys)
+    values = np.array([[draw(PANEL_CELLS) for _ in PANEL_VALUES] for _ in keys])
+    values = values.reshape(len(keys), len(PANEL_VALUES))
+    values[:, 2:] = np.abs(values[:, 2:])  # pesticides and yield are not negative
+    provenance = draw(st.dictionaries(PANEL_NAMES, PANEL_NAMES, max_size=2))
+    return PanelTable(keys=tuple(keys), country=country, values=values, provenance=provenance)
+
+
+def row_list_document(table: PanelTable) -> dict:
+    """The panel document with its rows as a list of row lists."""
+    columns = zip(table.keys, table.country, table.values.tolist())
+    return {
+        "format_version": 1,
+        "kind": "panel",
+        "columns": list(persist.PANEL_COLUMNS),
+        "rows": [[iso3, country, year, item, *v] for (iso3, year, item), country, v in columns],
+        "provenance": table.provenance,
+    }
+
+
+@settings(max_examples=200)
+@given(table=panel_tables(), chunk_parts=st.sampled_from([1, 3, 8, 20, 4096]))
+def test_panel_is_written_as_its_row_list_document(table, chunk_parts):
+    doc = row_list_document(table)
+    with mock.patch.object(persist, "_CHUNK_PARTS", chunk_parts):
+        expected = canonical_json(doc)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "panel.json"
+            save_panel(table, path)
+            assert path.read_bytes() == (expected + "\n").encode("ascii")
+    assert expected == reference_json(doc)
 
 
 class TestPanelRoundTrip:

@@ -554,24 +554,33 @@ class TestForest:
             tracemalloc.stop()
         assert peak < CAP_BYTES, peak
 
-    def test_predict_memory_stays_near_the_member_matrix(self):
-        # one (trees x rows) matrix of member predictions, with no second copy
+    @pytest.mark.parametrize("kind", ["forest", "gbm"])
+    def test_predict_memory_does_not_grow_with_members(self, kind):
+        # each member is routed into one reused buffer and folded into the sum:
+        # no (members x rows) matrix, so 200 members peak where 25 do
         rng = np.random.default_rng(12)
         grid = rng.normal(size=50)
-        n_trees, n = 50, 20_000
-        members = tuple(flat(random_tree(rng, 3, grid, depth=8)) for _ in range(n_trees))
-        forest = Forest(trees=members, config=ForestConfig(n_trees=n_trees))
+        n = 20_000
+        members = tuple(flat(random_tree(rng, 3, grid, depth=8)) for _ in range(200))
         x = rng.normal(size=(n, 3))
         import numpy.ma  # noqa: F401  (imported lazily by NumPy; see above)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            predict_forest_batch(forest, x)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        member_bytes = n_trees * n * 8
-        assert peak < 1.5 * member_bytes, peak / member_bytes
+        peaks = []
+        for m in (25, 200):
+            if kind == "forest":
+                model = Forest(trees=members[:m], config=ForestConfig(n_trees=m))
+            else:
+                model = GbmModel(init_value=1.0, stages=members[:m], learning_rate=0.1)
+            predict = predict_forest_batch if kind == "forest" else predict_gbm_batch
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                predict(model, x)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            finally:
+                tracemalloc.stop()
+        # about 5x the input's bytes at either count; a 200 x 20,000 matrix is 67x
+        assert peaks[1] < 1.25 * peaks[0], peaks
+        assert max(peaks) < 8 * x.nbytes, [peak / x.nbytes for peak in peaks]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
