@@ -9,7 +9,6 @@ never embed paths or timestamps.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import shutil
 import sys
@@ -87,12 +86,13 @@ def _load_aliases(path: Optional[str]) -> ingest.CountryAliasMap:
     return _parse(path, _read_bytes(path), ingest.CountryAliasMap.from_csv)
 
 
-def _parse_inputs(args) -> tuple[dict, dict]:
-    """Read and parse the four CSVs; returns (parsed, sha256 digests)."""
+def _parse_inputs(args, digest=None) -> tuple[dict, dict]:
+    """Read and parse the four CSVs; returns (parsed, digest of each input's
+    bytes, or no digests when digest is None)."""
     paths = {"rain": args.rain, "temp": args.temp,
              "pesticides": args.pesticides, "yield": args.yield_path}
     raw = {k: _read_bytes(path) for k, path in paths.items()}
-    digests = {k: hashlib.sha256(v).hexdigest() for k, v in raw.items()}
+    digests = {k: digest(v) for k, v in raw.items()} if digest else {}
     parsed = {
         "rain": _parse(paths["rain"], raw["rain"], ingest.parse_cckp_csv, "precipitation"),
         "temp": _parse(paths["temp"], raw["temp"], ingest.parse_cckp_csv, "temperature"),
@@ -110,7 +110,7 @@ def _parse_inputs(args) -> tuple[dict, dict]:
     return parsed, digests
 
 
-def _merge(parsed: dict, digests: dict, aliases: ingest.CountryAliasMap):
+def _merge(parsed: dict, aliases: ingest.CountryAliasMap, digests: Optional[dict] = None):
     """Join the four parsed inputs; returns (panel table, merge report)."""
     return ingest.merge_panel(
         parsed["rain"].records,
@@ -135,9 +135,11 @@ def _out_dir(path: str | Path) -> Path:
 
 
 def cmd_ingest(args) -> int:
-    parsed, digests = _parse_inputs(args)
+    import hashlib  # only ingest records digests; loaded ahead of the inputs it hashes
+
+    parsed, digests = _parse_inputs(args, lambda data: hashlib.sha256(data).hexdigest())
     aliases = _load_aliases(args.aliases)
-    table, report = _merge(parsed, digests, aliases)
+    table, report = _merge(parsed, aliases, digests)
     out = _out_dir(args.out)
     persist.save_panel(table, out / "panel.json")
     persist.write_json(report, out / "merge_report.json")
@@ -149,31 +151,33 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    parsed, digests = _parse_inputs(args)
+    """Compute every output first, then write them, so a run that fails
+    leaves the old outputs as they were."""
+    parsed, _ = _parse_inputs(args)
     aliases = _load_aliases(args.aliases)
-    out = _out_dir(args.out)
 
-    rain = explore.annual_mean(parsed["rain"].records, "rain_mm")
-    temp = explore.annual_mean(parsed["temp"].records, "temp_c")
-    pest = explore.annual_mean(ingest.pesticide_totals(parsed["pesticides"].records),
-                               "pesticides_tonnes")
-    explore.emit_plot_data(rain, out / "annual_rain.csv")
-    explore.emit_plot_data(temp, out / "annual_temp.csv")
-    explore.emit_plot_data(pest, out / "annual_pesticides.csv")
-
+    series = {
+        "annual_rain.csv": explore.annual_mean(parsed["rain"].records, "rain_mm"),
+        "annual_temp.csv": explore.annual_mean(parsed["temp"].records, "temp_c"),
+        "annual_pesticides.csv": explore.annual_mean(
+            ingest.pesticide_totals(parsed["pesticides"].records), "pesticides_tonnes"),
+    }
     freq = explore.item_frequency(parsed["yield"].records)
-    persist.write_csv(["item", "count"], freq, out / "item_frequency.csv")
-
-    table, _ = _merge(parsed, digests, aliases)
+    table, _ = _merge(parsed, aliases)
     corr = explore.pearson_corr_matrix(table.values, PANEL_VALUES)
+    if args.vif:
+        vif_values = explore.vif(table.values[:, : len(NUMERIC_FEATURES)], NUMERIC_FEATURES)
+
+    out = _out_dir(args.out)
+    for name, annual in series.items():
+        explore.emit_plot_data(annual, out / name)
+    persist.write_csv(["item", "count"], freq, out / "item_frequency.csv")
     persist.write_csv(
         ["feature", *corr.names],
         [[name, *corr.matrix[i]] for i, name in enumerate(corr.names)],
         out / "correlation_matrix.csv",
     )
-
     if args.vif:
-        vif_values = explore.vif(table.values[:, : len(NUMERIC_FEATURES)], NUMERIC_FEATURES)
         persist.write_csv(
             ["feature", "vif"],
             [[name, vif_values[name]] for name in NUMERIC_FEATURES],

@@ -64,7 +64,7 @@ def annual_mean(rows: ClimateColumns | FaoColumns, label: str) -> AnnualSeries:
     Each year's mean is np.mean over its values in row order.
     """
     if not rows:
-        raise EmptyInput("no climate records to aggregate")
+        raise EmptyInput(f"no records to aggregate for {label}")
     by_year: dict[int, list[float]] = defaultdict(list)
     for year, value in zip(rows.year, rows.value):
         by_year[year].append(value)

@@ -9,12 +9,18 @@ as a nonempty top-level feature_names (an ensemble's, in each member too).
 With (model, names) = load_model(f), save_model(model, g, names) writes g
 byte for byte equal to a file f that save_model wrote, and a reloaded model
 predicts bit-identically to the original. Non-finite floats serialize as
-the strings "NaN"/"Infinity"/"-Infinity"; model payloads never contain them. A dataclass instance serializes as an object of its fields, so
-write-only documents (merge and run reports) and every model payload but
-cart's and the ensemble's need no hand-written layout; typed readers, which
-coerce no JSON type, read the payloads back (_payload_readers). Model
-documents are at format_version 2 (trees as node arrays), the one version
-load_model reads; panels and reports are at version 1.
+the strings "NaN"/"Infinity"/"-Infinity"; model payloads never contain them.
+A dataclass instance serializes as an object of its fields, so write-only
+documents (merge and run reports) and every model payload but cart's and
+the ensemble's need no hand-written layout; typed readers, which coerce no
+JSON type, read the payloads back (_payload_readers). Model documents are
+at format_version 2 (trees as node arrays), the one version load_model
+reads; panels and reports are at version 1.
+
+write_json hands a document to its file a chunk at a time. A list of
+scalars renders a slice per join, and every other value one at a time,
+except a panel's rows: save_panel renders those a chunk of rows per %
+operation, straight from the table's columns (_emit_panel_rows).
 """
 from __future__ import annotations
 
@@ -24,10 +30,10 @@ import math
 import os
 import reprlib
 from dataclasses import dataclass, fields, is_dataclass
-from functools import partial
-from itertools import chain, groupby, repeat
+from functools import cache, partial
+from itertools import chain, product
 from pathlib import Path
-from typing import IO, Any, Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import IO, Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -137,11 +143,8 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
             _emit(obj[k], depth + 1, parts)
             parts.append(",\n" if i < len(keys) - 1 else "\n")
         parts.append(pad + "}")
-    elif isinstance(obj, _Rows):  # a NamedTuple, so ahead of the list case
-        if obj.count:
-            _emit_rows([obj], depth, parts)
-        else:
-            parts.append("[]")
+    elif isinstance(obj, _PanelRows):  # a NamedTuple, so ahead of the list case
+        _emit_panel_rows(obj.table, depth, parts)
     elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
         items = obj.tolist() if isinstance(obj, np.ndarray) else obj
         if not items:
@@ -158,9 +161,6 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
                     parts.flush()
             parts.append(f"\n{pad}]")
             return
-        if {list, tuple}.issuperset(map(type, items)) and all(items):
-            _emit_rows(_row_runs(items), depth, parts)
-            return
         parts.append("[\n")
         for i, item in enumerate(items):
             parts.append(inner)
@@ -173,108 +173,40 @@ def _emit(obj: Any, depth: int, parts: _Parts) -> None:
         raise FormatError(f"cannot serialize {type(obj).__name__}")
 
 
-# Printf specs of row cells. %.17g prints an integral float below 1e17 with
-# no point and no exponent, so it takes _format_float's ".0"; %s takes the
-# canonical text of strings, bools, None, non-finite floats and mixed columns.
-_FLOAT, _INTEGRAL_FLOAT, _TEXT = "%.17g", "%.17g.0", "%s"
+class _PanelRows(NamedTuple):
+    """The rows of a panel document: _emit writes them as their list of row
+    lists, straight from the table's columns (_emit_panel_rows)."""
+
+    table: PanelTable
 
 
-class _Memo(dict):
-    """fn of each key looked up, computed once."""
-
-    def __init__(self, fn: Callable[[Any], str]):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key: Any) -> str:
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _column_specs(column: tuple, strings: _Memo) -> Optional[tuple[Any, Sequence]]:
-    """(spec, or one spec per cell; the arguments of those specs) that render
-    a column of row cells canonically, or None when a cell is no plain scalar."""
-    kinds = set(map(type, column))
-    if kinds == {float}:
-        values = np.array(column)
-        integral = (np.trunc(values) == values) & (np.abs(values) < 1e17)
-        bad = np.flatnonzero(~np.isfinite(values)).tolist()
-        if not (bad or integral.any()):
-            return _FLOAT, column
-        specs = list(map((_FLOAT, _INTEGRAL_FLOAT).__getitem__, integral.tolist()))
-        if bad:
-            column = list(column)
-            for i in bad:
-                specs[i], column[i] = _TEXT, _format_float(column[i])
-        return specs, column
-    if kinds == {str}:
-        return _TEXT, list(map(strings.__getitem__, column))
-    if kinds == {int}:
-        return "%d", column
-    if kinds <= _SCALAR_TEXT.keys():
-        return _TEXT, [_SCALAR_TEXT[type(v)](v) for v in column]
-    return None
-
-
-def _rows_text(columns: Sequence[Sequence], row_sep: str, strings: _Memo,
-               templates: _Memo) -> Optional[str]:
-    """The cells of rows given as columns of one length, row after row,
-    rendered by one % operation; None when a cell is no plain scalar. A
-    row's template is templates[its cells' specs], and rows are joined by
-    row_sep."""
-    specs_args = [_column_specs(column, strings) for column in columns]
-    if None in specs_args:
-        return None
-    count = len(columns[0])
-    specs = (repeat(s, count) if type(s) is str else s for s, _ in specs_args)
-    template = row_sep.join(map(templates.__getitem__, zip(*specs)))
-    return template % tuple(chain.from_iterable(zip(*(args for _, args in specs_args))))
-
-
-class _Rows(NamedTuple):
-    """A list of `count` rows of `width` cells, held as columns: _emit
-    writes it as the list of lists, rendering rows start to stop from
-    columns(start, stop), one sequence of cells per column."""
-
-    count: int
-    width: int
-    columns: Callable[[int, int], Sequence[Sequence]]
-
-
-def _row_runs(rows: Sequence) -> Iterator[_Rows]:
-    """A list of non-empty lists and tuples as its runs of rows of one width."""
-    start = 0
-    for width, run in groupby(map(len, rows)):
-        count = sum(1 for _ in run)
-        yield _Rows(count, width, lambda a, b, at=start: list(zip(*rows[at + a:at + b])))
-        start += count
-
-
-def _emit_rows(runs: Iterable[_Rows], depth: int, parts: _Parts) -> None:
-    """Write runs of rows, one after another, as _emit writes one list of
-    lists: a chunk of about _CHUNK_PARTS cells at a time, rendered from its
-    columns (_rows_text). A chunk that _rows_text cannot render, and a row
-    over _CHUNK_PARTS cells, are written item by item."""
-    pad, inner, cell_pad = ("  " * (depth + i) for i in range(3))
-    row_sep = f"\n{inner}],\n{inner}[\n{cell_pad}"
-    strings = _Memo(_SCALAR_TEXT[str])
-    templates = _Memo(f",\n{cell_pad}".join)  # a row's template, by its cells' specs
-    lead = f"[\n{inner}"
-    for run in runs:
-        step = max(1, _CHUNK_PARTS // run.width)
-        for first in range(0, run.count, step):
-            columns = run.columns(first, min(first + step, run.count))
-            text = None if run.width > _CHUNK_PARTS else _rows_text(
-                columns, row_sep, strings, templates)
-            if text is None:
-                for row in zip(*columns):
-                    parts.append(lead)
-                    _emit(row, depth + 1, parts)
-                    lead = f",\n{inner}"
-                continue
-            parts += (f"{lead}[\n{cell_pad}", text, f"\n{inner}]")
-            parts.flush()
-            lead = f",\n{inner}"
+def _emit_panel_rows(table: PanelTable, depth: int, parts: _Parts) -> None:
+    """Write a panel's rows as _emit writes their list of row lists, a chunk
+    of about _CHUNK_PARTS cells at a time, each by one % operation. The
+    cells are fixed: iso3, country, year, item, then finite floats, each
+    %.17g, or %.17g.0 where %.17g prints no point (_format_float)."""
+    if not len(table):
+        parts.append("[]")
+        return
+    pad, inner, cell = ("  " * (depth + i) for i in range(3))
+    # a row's template by its floats' integral bits, the first column highest
+    templates = [f",\n{cell}".join(("%s", "%s", "%d", "%s", *specs))
+                 for specs in product(("%.17g", "%.17g.0"), repeat=len(PANEL_VALUES))]
+    bits = 2 ** np.arange(len(PANEL_VALUES))[::-1]
+    row_sep = f"\n{inner}],\n{inner}[\n{cell}"
+    text = cache(_SCALAR_TEXT[str])
+    step = max(1, _CHUNK_PARTS // len(PANEL_COLUMNS))
+    for start in range(0, len(table), step):
+        stop = min(start + step, len(table))
+        values = table.values[start:stop]
+        codes = ((np.trunc(values) == values) & (np.abs(values) < 1e17)) @ bits
+        iso3, year, item = zip(*table.keys[start:stop])
+        cells = zip(map(text, iso3), map(text, table.country[start:stop]), year,
+                    map(text, item), *values.T.tolist())
+        rows = row_sep.join(map(templates.__getitem__, codes.tolist()))
+        lead = f"[\n{inner}" if start == 0 else f",\n{inner}"
+        parts += (f"{lead}[\n{cell}", rows % tuple(chain.from_iterable(cells)), f"\n{inner}]")
+        parts.flush()
     parts.append(f"\n{pad}]")
 
 
@@ -581,21 +513,16 @@ def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
 
 
 def save_panel(table: PanelTable, path: str | Path) -> None:
-    """Write the panel document, its rows rendered a chunk at a time straight
-    from the table's columns."""
+    """Write the panel document. Its rows are rendered a chunk of rows at a
+    time straight from the table's columns (_PanelRows), with the bytes of
+    its list of row lists rendered value by value."""
 
-    def columns(start: int, stop: int) -> list[Sequence]:
-        iso3, year, item = zip(*table.keys[start:stop])
-        return [iso3, table.country[start:stop], year, item,
-                *table.values[start:stop].T.tolist()]
-
-    rows = _Rows(len(table), len(PANEL_COLUMNS), columns)
     write_json(
         {
             "format_version": FORMAT_VERSION,
             "kind": "panel",
             "columns": list(PANEL_COLUMNS),
-            "rows": rows,
+            "rows": _PanelRows(table),
             "provenance": table.provenance,
         },
         path,

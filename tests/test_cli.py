@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from typing import Optional
@@ -174,6 +176,48 @@ class TestExplore:
         )
         rc = main(["explore", *input_flags(paths), "--out", str(tmp_path), "--vif"])
         assert rc == 2
+
+    def test_failed_run_leaves_the_old_outputs(self, snap, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["explore", *input_flags(snap), "--out", str(out), "--vif"]) == 0
+        old = {p.name: p.read_bytes() for p in out.iterdir()}
+        crops = tmp_path / "yield.csv"  # every row in a year no climate series covers
+        crops.write_text("Area,Item,Year,Unit,Value\n" + "".join(
+            f"{area},Maize,1950,hg/ha,50000\n" for area, _ in synth.COUNTRIES[:4]))
+        flags = input_flags(snap)
+        flags[7] = str(crops)
+        capsys.readouterr()
+        assert main(["explore", *flags, "--out", str(out), "--vif"]) == 2
+        assert "merge produced zero rows" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == old
+
+    def test_empty_series_is_named(self, snap, tmp_path, capsys):
+        pesticides = tmp_path / "pesticides.csv"  # no Pesticides (total) rows
+        pesticides.write_text("Area,Item,Year,Unit,Value\n"
+                              "Afghanistan,Insecticides,2000,tonnes,5\n")
+        flags = input_flags(snap)
+        flags[5] = str(pesticides)
+        assert main(["explore", *flags, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: no records to aggregate for pesticides_tonnes\n")
+        assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["explore", "predict"])
+def test_only_ingest_loads_hashlib(snap, ols_model_path, tmp_path, command):
+    # only ingest records digests of its inputs, so no other command loads hashlib
+    rows = tmp_path / "rows.csv"
+    write_feature_csv(rows, TestPredict.HEADER, TestPredict.ROWS)
+    argv = {
+        "explore": ["explore", *input_flags(snap), "--out", str(tmp_path), "--vif"],
+        "predict": ["predict", "--model", str(ols_model_path), "--input", str(rows),
+                    "--out", str(tmp_path / "preds.csv")],
+    }[command]
+    code = ("import sys\nfrom yieldcast import cli\n"
+            f"assert cli.main({argv!r}) == 0\nprint('hashlib' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestCv:

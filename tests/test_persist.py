@@ -906,3 +906,20 @@ def test_written_document_layouts(tmp_path):
         assert set(entry) == FOLD_KEYS
     assert set(doc["environment"]["feature_config"]) == {"encode_item", "encode_country"}
     assert set(doc["eda"]["correlation"]) == {"names", "matrix"}
+
+
+def test_written_documents_are_in_canonical_form(tmp_path):
+    """Every JSON file ingest and a six-model cv write, k-NN x_train included,
+    is what the value-by-value reference renders from its contents."""
+    paths = synth.small_snapshot(tmp_path / "snap")
+    inputs = [arg for k in ("rain", "temp", "pesticides", "yield")
+              for arg in (f"--{k}", str(paths[k]))]
+    assert main(["ingest", *inputs, "--out", str(tmp_path)]) == 0
+    assert main(["cv", "--out", str(tmp_path), "--k", "2"]) == 0
+    written = list(tmp_path.rglob("*.json"))
+    assert sorted(p.name for p in written) == sorted(
+        ["panel.json", "merge_report.json", "report.json",
+         *(f"{kind}.json" for kind in persist.MODEL_KINDS)])
+    for path in written:
+        text = path.read_text(encoding="ascii")
+        assert text == reference_json(json.loads(text)) + "\n", path.name
