@@ -207,8 +207,8 @@ class RunConfig:
     def __post_init__(self):
         if not isinstance(self.k, int) or isinstance(self.k, bool) or self.k < 2:
             raise InvalidConfig(f"k must be an integer >= 2, got {self.k!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise InvalidConfig(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.models:
             raise InvalidConfig("at least one model must be selected")
         unknown = [name for name in self.models if name not in MODEL_ORDER]
@@ -418,7 +418,8 @@ def _named_rows(path: str | Path, rows):
 
 
 def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray, array]:
-    """(header, rows as floats, the line number of each row)."""
+    """(header, rows as floats, the line number of each row); predict_model
+    checks the cells."""
     rows = _named_rows(path, ingest.csv_rows(_read_bytes(path)))
     _, header = next(rows, (None, None))
     if header is None:
@@ -435,11 +436,7 @@ def _read_feature_csv(path: str | Path) -> tuple[list[str], np.ndarray, array]:
         lines.append(i)
     if not lines:
         raise FormatError(f"{path}: no data rows")
-    x = np.frombuffer(data).reshape(len(lines), len(header))
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
-    if len(bad):
-        raise InvalidData(f"{path}:{lines[bad[0]]}: non-finite cell")
-    return header, x, lines
+    return header, np.frombuffer(data).reshape(len(lines), len(header)), lines
 
 
 def cmd_predict(args) -> int:

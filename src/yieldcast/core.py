@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     ConstantFeature,
     EmptyInput,
+    InsufficientRows,
     InvalidConfig,
     InvalidData,
     ShapeError,
@@ -178,6 +179,30 @@ class Scaler:
             raise ValueError("scaler stds must be positive")
 
 
+def float_matrix(x) -> np.ndarray:
+    """x as a float array, which must be 2-d (rows x columns): else ShapeError."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ShapeError(f"x must be 2-d, got shape {x.shape}")
+    return x
+
+
+def training_pair(x, y, what: str, min_rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of a fit's input: (x, y) as float arrays. Raises
+    ShapeError unless x is 2-d with one row per value of a 1-d y,
+    InsufficientRows below `min_rows` rows, and InvalidData for any
+    non-finite value; the messages name `what` is fit."""
+    x = float_matrix(x)
+    y = np.asarray(y, dtype=float)
+    if y.shape != (x.shape[0],):
+        raise ShapeError(f"y shape {y.shape} does not match x rows {x.shape[0]}")
+    if len(y) < min_rows:
+        raise InsufficientRows(f"{what} needs at least {min_rows} rows, got {len(y)}")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidData(f"non-finite values in {what} input")
+    return x, y
+
+
 def fit_scaler(x: np.ndarray, passthrough: Optional[Sequence[bool]] = None) -> Scaler:
     """Column means and sample standard deviations (n-1 denominator).
 
@@ -185,7 +210,7 @@ def fit_scaler(x: np.ndarray, passthrough: Optional[Sequence[bool]] = None) -> S
     parameters and are never checked for zero variance. Any other column with
     zero variance is rejected, and so is one whose std passes the float range.
     """
-    x = np.asarray(x, dtype=float)
+    x = float_matrix(x)
     n, p = x.shape
     if n < 2:
         raise EmptyInput(f"need at least 2 rows to fit a scaler, got {n}")
@@ -334,6 +359,8 @@ __all__ = [
     "NUMERIC_FEATURES",
     "PANEL_VALUES",
     "build_feature_matrix",
+    "float_matrix",
+    "training_pair",
     "fit_scaler",
     "apply_scaler",
     "fsum_columns",

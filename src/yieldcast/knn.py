@@ -29,8 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Scaler, apply_scaler, fit_scaler, fsum_columns
-from .errors import InsufficientRows, InvalidConfig, InvalidData, ShapeError
+from .core import Scaler, apply_scaler, fit_scaler, fsum_columns, training_pair
+from .errors import InvalidConfig, InvalidData, ShapeError
 
 # (query, training row) cells one block of the scan holds
 _BLOCK_CELLS = 1 << 16
@@ -68,16 +68,9 @@ def fit_knn(
 ) -> KnnModel:
     """Store the scaled training set; `passthrough` masks columns (one-hots)
     that skip z-scoring."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
-        raise InvalidData(f"bad training shapes x={x.shape}, y={y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidData("non-finite values in knn input")
     if k < 1:
         raise InvalidConfig(f"k must be >= 1, got {k}")
-    if k > len(y):
-        raise InsufficientRows(f"k={k} exceeds {len(y)} training rows")
+    x, y = training_pair(x, y, "knn", min_rows=k)
     scaler = fit_scaler(x, passthrough=passthrough)
     return KnnModel(
         x_train=apply_scaler(scaler, x),
@@ -166,15 +159,10 @@ def predict_knn(m: KnnModel, x_row: np.ndarray) -> float:
 
 
 def predict_knn_batch(m: KnnModel, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != m.x_train.shape[1]:
-        raise ShapeError(
-            f"query has shape {x.shape} but model expects (*, {m.x_train.shape[1]})"
-        )
     scaled = apply_scaler(m.scaler, x)
     step = max(1, _BLOCK_CELLS // max(1, len(m.x_train)))
-    out = np.empty(len(x))
-    for a in range(0, len(x), step):
+    out = np.empty(len(scaled))
+    for a in range(0, len(scaled), step):
         try:
             idx, _ = _nearest(m, scaled[a : a + step])
         except InvalidData as exc:  # name the row of x, not of the block

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import Scaler, apply_scaler, fit_scaler
+from .core import Scaler, apply_scaler, fit_scaler, training_pair
 from .errors import Diverged, InsufficientRows, InvalidData, ShapeError
 
 # fit_sgd folds its decaying weight scale back into the weights below this,
@@ -67,28 +67,16 @@ class SgdConfig:
             raise ValueError("2 * learning_rate * l2 must be < 1")
 
 
-def _check_xy(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ShapeError(f"x must be 2-d, got shape {x.shape}")
-    if y.shape != (x.shape[0],):
-        raise ShapeError(f"y shape {y.shape} does not match x rows {x.shape[0]}")
-    return x, y
-
-
 def fit_ols(x: np.ndarray, y: np.ndarray) -> LinearModel:
     """Least-squares fit of y on x with an intercept.
 
     Rank-deficient designs are retried once with 1e-8 ridge jitter on the
     normal-equations diagonal; the model's metadata records the fallback.
     """
-    x, y = _check_xy(x, y)
+    x, y = training_pair(x, y, "OLS")
     n, p = x.shape
     if n <= p:
         raise InsufficientRows(f"need n > p for OLS, got n={n}, p={p}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidData("non-finite values in OLS input")
 
     a = np.column_stack([x, np.ones(n)])
     with np.errstate(over="ignore", invalid="ignore"):  # beta is checked below
@@ -119,7 +107,7 @@ def mse_gradient(
     Returns (grad_beta, grad_intercept); the penalty never touches the
     intercept.
     """
-    x, y = _check_xy(x, y)
+    x, y = training_pair(x, y, "MSE gradient")
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (x.shape[1],):
         raise ShapeError(f"beta shape {beta.shape} does not match {x.shape[1]} columns")
@@ -151,9 +139,7 @@ def fit_sgd(
     epoch. Raises Diverged, naming the epoch, if any parameter leaves the
     floats.
     """
-    x, y = _check_xy(x, y)
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidData("non-finite values in SGD input")
+    x, y = training_pair(x, y, "SGD")
     n, p = x.shape
     scaler = fit_scaler(x, passthrough=passthrough)
     z = apply_scaler(scaler, x)

@@ -37,7 +37,7 @@ from typing import IO, Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import PANEL_VALUES, PanelTable, Scaler, fsum_columns
+from .core import PANEL_VALUES, PanelTable, Scaler, float_matrix, fsum_columns
 from .errors import FormatError, InvalidConfig, InvalidData, IoError, ShapeError
 from .errors import UnsupportedVersion
 from .knn import KnnModel, predict_knn_batch
@@ -491,13 +491,18 @@ def load_model(path: str | Path) -> tuple[Any, tuple[str, ...]]:
 
 
 def predict_model(model: Any, x: np.ndarray) -> np.ndarray:
-    """Predict with any supported model object (dispatch by kind) on enough
-    columns; a non-finite prediction, an ensemble member's included, raises
-    InvalidData with its row."""
+    """Predict with any supported model object (dispatch by kind) on the
+    rows of a 2-d matrix with enough columns: the one check of the rows a
+    model predicts. A non-finite cell, and a non-finite prediction, an
+    ensemble member's included, raise InvalidData with its row."""
     try:
         kind = model_kind_of(model)
     except InvalidConfig:
         raise InvalidConfig(f"cannot predict with {type(model).__name__}") from None
+    x = float_matrix(x)
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if len(bad):
+        raise InvalidData("non-finite cell", row=int(bad[0]))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # out is checked below
             out = KINDS[kind].predict(model, x)

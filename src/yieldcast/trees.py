@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import fsum_rows
+from .core import fsum_rows, training_pair
 from .errors import InvalidData
 
 # (tree, row, sampled feature) keys one forest block grows together; bounds per-level memory
@@ -389,19 +389,9 @@ def _grow(
     return _grow(x, y, table, idx[~go_left], depth + 1, cfg, nodes)
 
 
-def _training_arrays(x, y, min_rows: int) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or len(y) != x.shape[0] or len(y) < min_rows:
-        raise InvalidData(f"bad training shapes x={x.shape}, y={y.shape}")
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidData("non-finite values in tree input")
-    return x, y
-
-
 def fit_cart(x: np.ndarray, y: np.ndarray, cfg: TreeConfig = TreeConfig()) -> Tree:
     """Greedy recursive partitioning down to max_depth / min-sample limits."""
-    x, y = _training_arrays(x, y, 1)
+    x, y = training_pair(x, y, "tree")
     return Tree.from_records(_grow(x, y, _BinTable(x), np.arange(len(y)), 0, cfg, []))
 
 
@@ -633,7 +623,7 @@ def fit_forest(x: np.ndarray, y: np.ndarray, cfg: ForestConfig = ForestConfig())
     repeated by weight in draw order. Leaf values are the numpy mean of those
     rows.
     """
-    x, y = _training_arrays(x, y, 2)
+    x, y = training_pair(x, y, "tree", min_rows=2)
     n, p = x.shape
     m = cfg.features_per_split if cfg.features_per_split is not None else max(1, p // 3)
     if m > p:
@@ -662,7 +652,7 @@ def predict_forest_batch(f: Forest, x: np.ndarray) -> np.ndarray:
 
 def fit_gbm(x: np.ndarray, y: np.ndarray, cfg: GbmConfig = GbmConfig()) -> GbmModel:
     """Stagewise boosting: each stage fits a small CART to current residuals."""
-    x, y = _training_arrays(x, y, 2)
+    x, y = training_pair(x, y, "tree", min_rows=2)
 
     table = _BinTable(x)  # x is the same in every stage
     cols = _columns(x)

@@ -267,6 +267,7 @@ class TestCv:
             ["--models", "ols,ols"],
             ["--test-fraction", "0.0"],
             ["--test-fraction", "1.0"],
+            ["--seed", "-1"],
         ],
     )
     def test_invalid_settings(self, panel_dir, tmp_path, flags):
@@ -321,6 +322,16 @@ class TestCv:
         assert rc == 2
         assert f"{next(iter(setting))} must be true or false" in capsys.readouterr().err
         assert not (tmp_path / "report.json").exists()
+
+    def test_negative_seed_in_config_file(self, panel_dir, tmp_path, capsys):
+        # numpy's generators refuse a negative seed with a bare ValueError
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"models": "ols", "seed": -1}))
+        rc = main(["cv", "--panel", str(panel_dir / "panel.json"),
+                   "--out", str(tmp_path / "out"), "--config", str(config)])
+        assert rc == 2
+        assert "error: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     # Each edit of row 0 would keep the keys sorted if the cell were coerced
     # (1999.5 to 1999, 7 to "7", "1e3" to 1000.0), so only the cell types can

@@ -1,4 +1,4 @@
-"""Input row rules, feature-matrix layout, scaling, and splitting."""
+"""Input row rules, feature-matrix layout, scaling, the fits' input check, and splitting."""
 from __future__ import annotations
 
 import math
@@ -26,16 +26,23 @@ from yieldcast.core import (
 from yieldcast.errors import (
     ConstantFeature,
     EmptyInput,
+    InsufficientRows,
     InvalidConfig,
     InvalidData,
     ShapeError,
 )
 from yieldcast.ingest import parse_cckp_csv, parse_fao_csv
+from yieldcast.knn import fit_knn
+from yieldcast.linear import SgdConfig, fit_ols, fit_sgd, mse_gradient
 from yieldcast.trees import (
     Forest,
     ForestConfig,
+    GbmConfig,
     GbmModel,
     Tree,
+    fit_cart,
+    fit_forest,
+    fit_gbm,
     predict_forest_batch,
     predict_gbm_batch,
 )
@@ -256,6 +263,10 @@ class TestScaler:
         with pytest.raises(EmptyInput):
             fit_scaler(np.array([[1.0, 2.0]]))
 
+    def test_matrix_must_be_2d(self):
+        with pytest.raises(ShapeError, match="must be 2-d"):
+            fit_scaler(np.ones(5))
+
     def test_bad_passthrough_length(self):
         with pytest.raises(ShapeError):
             fit_scaler(np.eye(3), passthrough=[True])
@@ -283,6 +294,35 @@ def grid_matrix(n: int) -> FeatureMatrix:
         row_keys=tuple(("AAA", 1990, f"row{i:04d}") for i in range(n)),
         onehot=(False,),
     )
+
+
+# each fit (and mse_gradient) as fit(x, y), on settings small enough for 8 rows
+FITS = {
+    "ols": fit_ols,
+    "sgd": lambda x, y: fit_sgd(x, y, SgdConfig(epochs=1)),
+    "cart": fit_cart,
+    "forest": lambda x, y: fit_forest(x, y, ForestConfig(n_trees=2)),
+    "gbm": lambda x, y: fit_gbm(x, y, GbmConfig(n_stages=1)),
+    "knn": lambda x, y: fit_knn(x, y, k=1),
+    "mse_gradient": lambda x, y: mse_gradient(np.zeros(np.shape(x)[-1]), 0.0, x, y),
+}
+
+
+class TestTrainingPair:
+    @pytest.mark.parametrize("fit", FITS.values(), ids=FITS.keys())
+    def test_every_fit_refuses_a_malformed_pair_alike(self, fit):
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(8, 2)), rng.normal(size=8)
+        fit(x, y)  # the well-formed pair fits
+        for bad_x, bad_y, error in [
+            (x[:, 0], y, ShapeError),
+            (x, y[:-1], ShapeError),
+            (x[:0], y[:0], InsufficientRows),
+            (np.where(np.arange(8)[:, None] == 5, np.nan, x), y, InvalidData),
+            (x, np.where(np.arange(8) == 2, np.inf, y), InvalidData),
+        ]:
+            with pytest.raises(error):
+                fit(bad_x, bad_y)
 
 
 class TestTrainTestSplit:

@@ -235,9 +235,9 @@ class TestValidation:
             fit_knn(x, y, k=11)
 
     def test_training_data_checked(self):
-        with pytest.raises(InvalidData):
+        with pytest.raises(ShapeError):
             fit_knn(np.ones(5), np.ones(5), k=1)
-        with pytest.raises(InvalidData):
+        with pytest.raises(ShapeError):
             fit_knn(np.ones((5, 2)), np.ones(4), k=1)
         bad = np.ones((5, 2))
         bad[2, 1] = np.nan

@@ -568,6 +568,20 @@ class TestModelRoundTrip:
                 predict_model(model, x)
             assert err.value.row == 1
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", ["ols", "sgd", "cart", "forest", "gbm", "knn", "ensemble"])
+    def test_non_finite_cell_names_its_row(self, fitted_models, kind, cell):
+        # a tree sends NaN right at every split, so it would predict a
+        # finite value for such a row
+        models, x = fitted_models
+        bad = x[:5].copy()
+        bad[3, 1] = cell
+        with pytest.raises(InvalidData, match="non-finite cell") as err:
+            predict_model(models[kind], bad)
+        assert err.value.row == 3
+        with pytest.raises(ShapeError, match="must be 2-d"):
+            predict_model(models[kind], x[0])
+
     def test_ensemble_needs_two_members(self, fitted_models):
         models, _ = fitted_models
         with pytest.raises(InvalidConfig):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from yieldcast.errors import InvalidData
+from yieldcast.errors import InsufficientRows, InvalidData, ShapeError
 from yieldcast.trees import (
     Forest,
     ForestConfig,
@@ -149,11 +149,11 @@ class TestFitCart:
         np.testing.assert_array_equal(predict_tree_batch(tree, queries), scalar)
 
     def test_input_validation(self):
-        with pytest.raises(InvalidData):
+        with pytest.raises(ShapeError):
             fit_cart(np.ones(4), np.ones(4))
-        with pytest.raises(InvalidData):
+        with pytest.raises(ShapeError):
             fit_cart(np.ones((4, 2)), np.ones(3))
-        with pytest.raises(InvalidData):
+        with pytest.raises(InsufficientRows):
             fit_cart(np.empty((0, 2)), np.empty(0))
         with pytest.raises(InvalidData):
             fit_cart(np.array([[np.nan], [1.0]]), np.ones(2))
@@ -434,7 +434,7 @@ class TestForest:
             fit_forest(x, y, ForestConfig(features_per_split=3))
 
     def test_needs_two_rows(self):
-        with pytest.raises(InvalidData):
+        with pytest.raises(InsufficientRows):
             fit_forest(np.ones((1, 2)), np.ones(1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
